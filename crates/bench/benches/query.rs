@@ -33,7 +33,7 @@ fn bench_query(c: &mut Criterion) {
     let mut group = c.benchmark_group("query");
     group.sample_size(10);
     for &n in &[1_000u64, 4_000] {
-        let catalog = make_catalog(n, false);
+        let session = QueryContext::with_catalog(make_catalog(n, false));
         let q = LogicalPlan::scan("facts")
             .filter(col("x").gt(lit(250)))
             .join_on(LogicalPlan::scan("dims"), "g", "g")
@@ -41,29 +41,21 @@ fn bench_query(c: &mut Criterion) {
             .order_by("tier");
         group.bench_with_input(BenchmarkId::new("analytics-pipeline", n), &n, |b, _| {
             b.iter(|| {
-                let res = execute(&catalog, &q, ExecOptions::default()).unwrap();
+                let res = session.execute(&q).unwrap();
                 black_box(res.cost.tuple_cost())
             })
         });
 
-        let skewed = make_catalog(n, true);
+        let skewed = QueryContext::with_catalog(make_catalog(n, true)).with_seed(1);
         let join = LogicalPlan::scan("facts").join_on(LogicalPlan::scan("dims"), "g", "g");
         for (name, strat) in [
-            ("join-weighted", JoinStrategy::Weighted),
-            ("join-uniform", JoinStrategy::Uniform),
+            ("join-weighted", "weighted-repartition"),
+            ("join-uniform", "uniform-repartition"),
         ] {
+            let forced = skewed.clone().with_strategy(OperatorKind::Join, strat);
             group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
                 b.iter(|| {
-                    let res = execute(
-                        &skewed,
-                        &join,
-                        ExecOptions {
-                            join: strat,
-                            seed: 1,
-                            ..ExecOptions::default()
-                        },
-                    )
-                    .unwrap();
+                    let res = forced.execute(&join).unwrap();
                     black_box(res.cost.tuple_cost())
                 })
             });

@@ -45,11 +45,9 @@ use tamp_runtime::backend::{ExecBackend, SimulatorBackend};
 use tamp_topology::{EdgeId, Tree};
 
 use crate::error::QueryError;
-use crate::exec::{self, ExecMode, ExecOptions, JoinStrategy, QueryResult};
+use crate::exec::{self, ExecMode, ExecOptions, QueryResult};
 use crate::expr::Expr;
-use crate::physical::strategy::{
-    default_registry, OperatorKind, PhysicalStrategy, StrategyRegistry,
-};
+use crate::physical::strategy::{OperatorKind, PhysicalStrategy, StrategyRegistry};
 use crate::physical::{lower_full, PhysicalPlan};
 use crate::plan::{AggFunc, LogicalPlan};
 use crate::reference;
@@ -88,13 +86,6 @@ impl QueryContext {
     /// Builder-style: set the hashing/sampling seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.options.seed = seed;
-        self
-    }
-
-    /// Builder-style: set the session's join strategy (default
-    /// [`JoinStrategy::Auto`], the cost-based choice).
-    pub fn with_join_strategy(mut self, join: JoinStrategy) -> Self {
-        self.options.join = join;
         self
     }
 
@@ -194,8 +185,8 @@ impl QueryContext {
     }
 
     /// Plan `plan` into a [`PreparedQuery`]: validate, lower to a
-    /// [`PhysicalPlan`], price every exchange and resolve
-    /// [`JoinStrategy::Auto`] cost-based.
+    /// [`PhysicalPlan`], price every exchange and pick each unforced
+    /// operator's strategy cost-based.
     pub fn prepare(&self, plan: &LogicalPlan) -> Result<PreparedQuery<'_>, QueryError> {
         prepare_with_registry(&self.catalog, plan.clone(), self.options, &self.registry)
     }
@@ -206,20 +197,9 @@ impl QueryContext {
     }
 }
 
-/// Prepare a plan against a borrowed catalog — the shared pipeline under
-/// [`QueryContext::prepare`] and the legacy
-/// [`execute`](crate::exec::execute) shim.
-pub(crate) fn prepare_with(
-    catalog: &Catalog,
-    plan: LogicalPlan,
-    options: ExecOptions,
-) -> Result<PreparedQuery<'_>, QueryError> {
-    prepare_with_registry(catalog, plan, options, default_registry())
-}
-
-/// [`prepare_with`] against an explicit strategy registry (the
-/// [`QueryContext`] path, where sessions may have registered custom
-/// strategies).
+/// Prepare a plan against a borrowed catalog and an explicit strategy
+/// registry — the pipeline under [`QueryContext::prepare`] and
+/// [`DataFrame::prepare`].
 pub(crate) fn prepare_with_registry<'c>(
     catalog: &'c Catalog,
     plan: LogicalPlan,
@@ -518,7 +498,7 @@ mod tests {
     fn session_options_flow_into_planning() {
         let base = ctx();
         let forced = QueryContext::with_catalog(base.catalog().clone())
-            .with_join_strategy(JoinStrategy::Uniform);
+            .with_strategy(OperatorKind::Join, "uniform-repartition");
         let q = LogicalPlan::scan("facts").join_on(LogicalPlan::scan("dims"), "g", "g");
         let p = forced.prepare(&q).unwrap();
         assert!(

@@ -26,9 +26,10 @@
 //! parity tests assert equal rows and `edge_totals` across backends
 //! *and* across engines, for every batch size.
 //!
-//! This module drives the walk, attributes per-round costs to operators,
-//! and keeps the legacy free-function API ([`execute`], [`execute_on`])
-//! as a thin shim over [`QueryContext`](crate::context::QueryContext).
+//! This module drives the walk and attributes per-round costs to
+//! operators; queries enter it through
+//! [`QueryContext`](crate::context::QueryContext)'s prepare → run
+//! pipeline.
 //!
 //! [`PhysicalStrategy`]: crate::physical::strategy::PhysicalStrategy
 
@@ -38,51 +39,20 @@ mod options;
 mod result;
 pub(crate) mod tuple;
 
-pub use options::{ExecMode, ExecOptions, JoinStrategy, StrategyForce, DEFAULT_BATCH_SIZE};
+pub use options::{ExecMode, ExecOptions, StrategyForce, DEFAULT_BATCH_SIZE};
 pub use result::{OperatorCost, QueryResult};
 
 use tamp_core::sorting::valid_order;
-use tamp_runtime::backend::{ExecBackend, SimulatorBackend};
+use tamp_runtime::backend::ExecBackend;
 use tamp_runtime::jobs::{Schedule, ScheduleJob, ScheduleSend};
 use tamp_simulator::Placement;
 use tamp_topology::Tree;
 
 use crate::batch::batches_to_fragments;
-use crate::context::prepare_with;
 use crate::error::QueryError;
 use crate::physical::strategy::{BatchInput, ExecArgs, OpInput};
 use crate::physical::{Exchange, PhysicalPlan};
 use crate::table::Catalog;
-
-/// Execute `plan` over `catalog` with `options` on the default engine
-/// (the centralized simulator backend).
-///
-/// Thin shim over the [`QueryContext`](crate::context::QueryContext)
-/// pipeline: the plan is lowered to a [`PhysicalPlan`] against the
-/// default strategy registry (resolving every exchange cost-based) and
-/// run.
-pub fn execute(
-    catalog: &Catalog,
-    plan: &crate::plan::LogicalPlan,
-    options: ExecOptions,
-) -> Result<QueryResult, QueryError> {
-    execute_on(catalog, plan, options, &SimulatorBackend)
-}
-
-/// Execute `plan` over `catalog` with `options` on an explicit
-/// [`ExecBackend`].
-///
-/// Prepared queries replay their exchange schedule through the backend,
-/// so both the centralized simulator and the pooled cluster run the same
-/// sends and meter bit-identical ledgers.
-pub fn execute_on(
-    catalog: &Catalog,
-    plan: &crate::plan::LogicalPlan,
-    options: ExecOptions,
-    backend: &dyn ExecBackend,
-) -> Result<QueryResult, QueryError> {
-    prepare_with(catalog, plan.clone(), options)?.run_on(backend)
-}
 
 pub(crate) use crate::physical::strategy::Fragments;
 
@@ -217,7 +187,9 @@ pub(crate) fn run_physical(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::prepare_with_registry;
     use crate::expr::{col, lit};
+    use crate::physical::strategy::default_registry;
     use crate::plan::{AggFunc, LogicalPlan};
     use crate::reference;
     use crate::row::Row;
@@ -247,13 +219,30 @@ mod tests {
         c
     }
 
+    /// Prepare `q` over `c` with `opts` (default registry) and run it
+    /// on the simulator — the pipeline under `QueryContext::prepare`.
+    pub(super) fn run(
+        c: &Catalog,
+        q: &LogicalPlan,
+        opts: ExecOptions,
+    ) -> Result<QueryResult, QueryError> {
+        prepare_with_registry(c, q.clone(), opts, default_registry())?.run()
+    }
+
+    fn force_join(name: &'static str) -> StrategyForce {
+        StrategyForce {
+            join: Some(name),
+            ..StrategyForce::default()
+        }
+    }
+
     fn check_against_reference(c: &Catalog, q: &LogicalPlan, opts: ExecOptions) -> QueryResult {
-        let res = execute(c, q, opts).unwrap();
+        let res = run(c, q, opts).unwrap();
         let got = res.rows(reference::preserves_order(q));
         let want = reference::evaluate(q, c).unwrap();
         assert_eq!(got, want, "plan:\n{q}");
         // The tuple reference engine agrees bit-for-bit, rows and ledger.
-        let tup = execute(
+        let tup = run(
             c,
             q,
             ExecOptions {
@@ -285,29 +274,14 @@ mod tests {
             80,
         );
         let q = LogicalPlan::scan("facts").join_on(LogicalPlan::scan("dims"), "g", "g");
+        // The cost-based choice and every registered join strategy —
+        // including the §3 TreeIntersect routing — produce the same rows.
         for join in [
-            JoinStrategy::Auto,
-            JoinStrategy::Weighted,
-            JoinStrategy::Uniform,
-            JoinStrategy::BroadcastSmall,
-        ] {
-            check_against_reference(
-                &c,
-                &q,
-                ExecOptions {
-                    join,
-                    seed: 3,
-                    ..ExecOptions::default()
-                },
-            );
-        }
-        // Every registered join strategy — including the §3 TreeIntersect
-        // routing — produces the same rows.
-        for name in [
-            "weighted-repartition",
-            "tree-partition",
-            "broadcast-small",
-            "uniform-repartition",
+            None,
+            Some("weighted-repartition"),
+            Some("tree-partition"),
+            Some("broadcast-small"),
+            Some("uniform-repartition"),
         ] {
             check_against_reference(
                 &c,
@@ -315,7 +289,7 @@ mod tests {
                 ExecOptions {
                     seed: 3,
                     force: StrategyForce {
-                        join: Some(name),
+                        join,
                         ..StrategyForce::default()
                     },
                     ..ExecOptions::default()
@@ -485,7 +459,7 @@ mod tests {
             &c,
             &q,
             ExecOptions {
-                join: JoinStrategy::Weighted,
+                force: force_join("weighted-repartition"),
                 seed: 1,
                 ..ExecOptions::default()
             },
@@ -494,7 +468,7 @@ mod tests {
             &c,
             &q,
             ExecOptions {
-                join: JoinStrategy::Uniform,
+                force: force_join("uniform-repartition"),
                 seed: 1,
                 ..ExecOptions::default()
             },
@@ -512,13 +486,13 @@ mod tests {
         let c = catalog(builders::star(2, 1.0), 10);
         let q = LogicalPlan::scan("nope");
         assert!(matches!(
-            execute(&c, &q, ExecOptions::default()),
+            run(&c, &q, ExecOptions::default()),
             Err(QueryError::UnknownTable(_))
         ));
         let q = LogicalPlan::scan("facts").filter(col("id").div(lit(0)).gt(lit(0)));
         for mode in [ExecMode::Columnar, ExecMode::Tuple] {
             assert_eq!(
-                execute(
+                run(
                     &c,
                     &q,
                     ExecOptions {
@@ -538,7 +512,7 @@ mod tests {
         let q = LogicalPlan::scan("facts");
         for mode in [ExecMode::Columnar, ExecMode::Tuple] {
             assert_eq!(
-                execute(
+                run(
                     &c,
                     &q,
                     ExecOptions {
@@ -553,7 +527,7 @@ mod tests {
         }
         // Any positive size runs.
         for batch_size in [1, 3, usize::MAX] {
-            let res = execute(
+            let res = run(
                 &c,
                 &q,
                 ExecOptions {
@@ -574,26 +548,19 @@ mod tests {
             .aggregate("g", AggFunc::Count, "x");
         // The default engine and an explicitly selected simulator backend
         // are the same path.
-        let a = execute(&c, &q, ExecOptions::default()).unwrap();
-        let b = execute_on(
-            &c,
-            &q,
-            ExecOptions::default(),
-            &tamp_runtime::SimulatorBackend,
-        )
-        .unwrap();
+        let prepared =
+            prepare_with_registry(&c, q.clone(), ExecOptions::default(), default_registry())
+                .unwrap();
+        let a = run(&c, &q, ExecOptions::default()).unwrap();
+        let b = prepared.run_on(&tamp_runtime::SimulatorBackend).unwrap();
         assert_eq!(a.rows(false), b.rows(false));
         assert_eq!(a.cost.edge_totals, b.cost.edge_totals);
         assert_eq!(a.rounds, b.rounds);
         // The pooled cluster replays the same exchange schedule and
         // meters a bit-identical ledger — queries are not simulator-only.
-        let d = execute_on(
-            &c,
-            &q,
-            ExecOptions::default(),
-            &tamp_runtime::PooledClusterBackend::default(),
-        )
-        .unwrap();
+        let d = prepared
+            .run_on(&tamp_runtime::PooledClusterBackend::default())
+            .unwrap();
         assert_eq!(a.rows(false), d.rows(false));
         assert_eq!(a.cost.edge_totals, d.cost.edge_totals);
         assert_eq!(a.rounds, d.rounds);
@@ -617,7 +584,7 @@ mod tests {
             LogicalPlan::scan("e").limit(5),
             LogicalPlan::scan("e").cross(LogicalPlan::scan("e")),
         ] {
-            let res = execute(&c, &q, ExecOptions::default()).unwrap();
+            let res = run(&c, &q, ExecOptions::default()).unwrap();
             assert_eq!(res.num_rows(), 0);
             assert_eq!(res.cost.tuple_cost(), 0.0);
         }
@@ -626,6 +593,7 @@ mod tests {
 
 #[cfg(test)]
 mod distinct_union_tests {
+    use super::tests::run;
     use super::*;
     use crate::expr::{col, lit};
     use crate::plan::LogicalPlan;
@@ -658,7 +626,7 @@ mod distinct_union_tests {
     fn distinct_removes_scattered_duplicates() {
         let c = dup_catalog();
         let q = LogicalPlan::scan("d").distinct();
-        let res = execute(&c, &q, ExecOptions::default()).unwrap();
+        let res = run(&c, &q, ExecOptions::default()).unwrap();
         assert_eq!(res.num_rows(), 40);
         assert_eq!(res.rows(false), reference::evaluate(&q, &c).unwrap());
         // Duplicates of a row co-locate, so at most one copy per row moves
@@ -673,7 +641,7 @@ mod distinct_union_tests {
             .filter(col("g").lt(lit(3)))
             .union_all(LogicalPlan::scan("d").filter(col("g").ge(lit(3))))
             .distinct();
-        let res = execute(&c, &q, ExecOptions::default()).unwrap();
+        let res = run(&c, &q, ExecOptions::default()).unwrap();
         assert_eq!(res.rows(false), reference::evaluate(&q, &c).unwrap());
         assert_eq!(res.num_rows(), 40);
     }
@@ -682,7 +650,7 @@ mod distinct_union_tests {
     fn union_all_is_free_and_keeps_duplicates() {
         let c = dup_catalog();
         let q = LogicalPlan::scan("d").union_all(LogicalPlan::scan("d"));
-        let res = execute(&c, &q, ExecOptions::default()).unwrap();
+        let res = run(&c, &q, ExecOptions::default()).unwrap();
         assert_eq!(res.num_rows(), 240);
         assert_eq!(res.cost.tuple_cost(), 0.0);
         assert_eq!(res.rows(false), reference::evaluate(&q, &c).unwrap());
@@ -701,7 +669,7 @@ mod distinct_union_tests {
         let q = LogicalPlan::scan("d").union_all(LogicalPlan::scan("other"));
         for mode in [ExecMode::Columnar, ExecMode::Tuple] {
             assert!(matches!(
-                execute(
+                run(
                     &c,
                     &q,
                     ExecOptions {
@@ -725,7 +693,7 @@ mod distinct_union_tests {
             c.tree(),
         ))
         .unwrap();
-        let res = execute(
+        let res = run(
             &c,
             &LogicalPlan::scan("e").distinct(),
             ExecOptions::default(),

@@ -313,8 +313,10 @@ fn map_children(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute, ExecOptions};
+    use crate::context::QueryContext;
+    use crate::exec::QueryResult;
     use crate::expr::{col, lit};
+    use crate::physical::strategy::OperatorKind;
     use crate::plan::AggFunc;
     use crate::reference;
     use crate::row::Row;
@@ -344,10 +346,10 @@ mod tests {
         c
     }
 
-    fn assert_equivalent_with(q: &LogicalPlan, c: &Catalog, opts: ExecOptions) -> (f64, f64) {
+    fn assert_equivalent_with(q: &LogicalPlan, c: &Catalog, ctx: QueryContext) -> (f64, f64) {
         let opt = optimize(q.clone(), c).unwrap();
-        let before = execute(c, q, opts).unwrap();
-        let after = execute(c, &opt, opts).unwrap();
+        let run = |plan: &LogicalPlan| -> QueryResult { ctx.execute(plan).unwrap() };
+        let (before, after) = (run(q), run(&opt));
         let ord = reference::preserves_order(q);
         assert_eq!(before.rows(ord), after.rows(ord), "optimized:\n{opt}");
         assert_eq!(after.rows(ord), reference::evaluate(q, c).unwrap());
@@ -355,7 +357,7 @@ mod tests {
     }
 
     fn assert_equivalent(q: &LogicalPlan, c: &Catalog) -> (f64, f64) {
-        assert_equivalent_with(q, c, ExecOptions::default())
+        assert_equivalent_with(q, c, QueryContext::with_catalog(c.clone()))
     }
 
     #[test]
@@ -374,14 +376,12 @@ mod tests {
             other => panic!("expected join on top, got:\n{other}"),
         }
         // Under a fixed repartition strategy, dropping rows before the
-        // shuffle is a strict win. (Under `Auto` the comparison can flip:
+        // shuffle is a strict win. (Cost-based, the comparison can flip:
         // filtering shrinks the big side until broadcast loses to
         // repartition — a strategy change, not a pushdown regression.)
-        let opts = ExecOptions {
-            join: crate::exec::JoinStrategy::Weighted,
-            ..ExecOptions::default()
-        };
-        let (before, after) = assert_equivalent_with(&q, &c, opts);
+        let weighted = QueryContext::with_catalog(c.clone())
+            .with_strategy(OperatorKind::Join, "weighted-repartition");
+        let (before, after) = assert_equivalent_with(&q, &c, weighted);
         assert!(
             after < before,
             "pushdown saved nothing: {after} vs {before}"

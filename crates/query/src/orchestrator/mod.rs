@@ -44,7 +44,11 @@
 //!   ([`FaultPlan`] → typed
 //!   [`QueryError::FaultInjected`]) the orchestrator simply re-executes
 //!   the schedule on the (auto-disarmed, hence healthy) crew: rows *and*
-//!   metered `edge_totals` equal the fault-free run by construction.
+//!   metered `edge_totals` equal the fault-free run by construction. One
+//!   private loop, `with_recovery`, does this for relational queries and
+//!   iterative jobs alike: retry bound and backoff ([`RetryPolicy`]),
+//!   [`RecoveryEvent`] logging, and exhaustion into
+//!   [`QueryError::RecoveryExhausted`].
 //!
 //! # Serving three tenants
 //!
@@ -92,7 +96,7 @@ use tamp_runtime::{
 };
 use tamp_topology::{EdgeId, Tree};
 
-use crate::admission::{Priority, TenantSpec, WeightedAdmission};
+use crate::admission::{Grant, Priority, TenantSpec, WeightedAdmission};
 use crate::context::QueryContext;
 use crate::error::QueryError;
 use crate::iterative::{IterativeJob, IterativeOutcome};
@@ -474,6 +478,35 @@ impl Drop for SlotGuard<'_> {
     }
 }
 
+/// A successful attempt as the recovery loop sees it: the serving
+/// telemetry credited to the tenant, and the replay bookkeeping patched
+/// onto the request's last [`RecoveryEvent`].
+trait Served {
+    fn stats(&self) -> &ServiceStats;
+    /// `(resumed_from, supersteps)` of the attempt's backend run.
+    fn replay(&self) -> (Option<usize>, usize);
+}
+
+impl Served for ServedQuery {
+    fn stats(&self) -> &ServiceStats {
+        &self.stats
+    }
+
+    fn replay(&self) -> (Option<usize>, usize) {
+        (self.result.resumed_from, self.result.supersteps)
+    }
+}
+
+impl Served for ServedIterative {
+    fn stats(&self) -> &ServiceStats {
+        &self.stats
+    }
+
+    fn replay(&self) -> (Option<usize>, usize) {
+        (self.outcome.resumed_from, self.outcome.supersteps)
+    }
+}
+
 impl Orchestrator {
     /// Start declaring an orchestrator over `ctx` (see
     /// [`OrchestratorBuilder`]).
@@ -496,117 +529,21 @@ impl Orchestrator {
     /// Results are bit-identical (rows **and** metered `edge_totals`) to
     /// a fault-free single-session execution of the same plan.
     pub fn serve_as(&self, tenant: &str, plan: &LogicalPlan) -> Result<ServedQuery, QueryError> {
-        let tenant_ix = self
-            .specs
-            .iter()
-            .position(|s| s.name == tenant)
-            .ok_or_else(|| QueryError::UnknownTenant(tenant.to_string()))?;
-        let grant = self.admission.acquire(tenant)?;
-        let _slot = SlotGuard {
-            admission: &self.admission,
-            tenant,
-        };
-        {
-            // The structural fairness metric: grants to other queries
-            // between this one's enqueue and its own grant.
-            let mut timings = lock_ok(&self.timings);
-            let t = &mut timings[tenant_ix];
-            t.max_waited_grants = t.max_waited_grants.max(grant.waited_grants);
-        }
-        self.scale_tick(grant.queued);
-
+        let (tenant_ix, grant, _slot) = self.admit(tenant)?;
         // Pin the plan AND the catalog snapshot once: every recovery
         // attempt replays the exact same deterministic schedule, so
         // recovered results are bit-identical even if a concurrent
         // `register`/`degrade_link` swaps the serving generation
         // mid-recovery.
-        let pinned = match self.service.prepare_pinned(plan) {
-            Ok(p) => p,
-            Err(e) => {
-                // A plan armed for this query would otherwise leak into
-                // the next, unrelated execution: drop it with the query.
-                self.injector.clear_armed();
-                return Err(e);
-            }
-        };
-        let mut attempt = 1u32;
-        let outcome = loop {
-            match self
-                .service
+        let pinned = self.service.prepare_pinned(plan).inspect_err(|_| {
+            // A plan armed for this query would otherwise leak into
+            // the next, unrelated execution: drop it with the query.
+            self.injector.clear_armed();
+        })?;
+        self.with_recovery(tenant_ix, grant, || {
+            self.service
                 .execute_pinned(&pinned, grant.ticket, grant.queued)
-            {
-                Err(e) if e.is_recoverable() => {
-                    if matches!(e, QueryError::SuperstepTimeout { .. }) {
-                        self.pending_timeouts.fetch_add(1, Ordering::Relaxed);
-                        lock_ok(&self.timings)[tenant_ix].timeouts += 1;
-                    }
-                    lock_ok(&self.recoveries).push(RecoveryEvent {
-                        tenant: tenant.to_string(),
-                        ticket: grant.ticket,
-                        fault: fault_event_of(&e, self.service.context().tree()),
-                        attempt,
-                        resumed_from: None,
-                        replayed_supersteps: None,
-                        skipped_supersteps: 0,
-                    });
-                    if attempt >= self.retry.max_attempts {
-                        // Total loss (or an adversarial re-arming loop):
-                        // give up with a typed error after exactly
-                        // `max_attempts` executions, dropping any
-                        // still-armed chaos plans with the query.
-                        self.injector.clear_armed();
-                        break Err(QueryError::RecoveryExhausted {
-                            attempts: attempt,
-                            last: Box::new(e),
-                        });
-                    }
-                    let delay = self.retry.backoff.delay(attempt);
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-                    // The faulted run consumed its armed plan (FIFO
-                    // one-shot), so this replay sees the next armed plan
-                    // if the chaos schedule re-armed, or a healthy crew.
-                    attempt += 1;
-                    continue;
-                }
-                Err(e) => {
-                    // Non-recoverable: drop any plan armed for this query
-                    // instead of leaking it into the next execution.
-                    self.injector.clear_armed();
-                    break Err(e);
-                }
-                Ok(served) => break Ok(served),
-            }
-        };
-        if let Ok(served) = &outcome {
-            if attempt > 1 {
-                // Patch the replay bookkeeping onto this query's last
-                // fault event, now that the successful attempt is known.
-                let resumed = served.result.resumed_from;
-                let skipped = resumed.unwrap_or(0);
-                let mut recs = lock_ok(&self.recoveries);
-                if let Some(last) = recs
-                    .iter_mut()
-                    .rev()
-                    .find(|r| r.ticket == grant.ticket && r.tenant == tenant)
-                {
-                    last.resumed_from = resumed;
-                    last.replayed_supersteps = Some(served.result.supersteps - skipped);
-                    last.skipped_supersteps = skipped;
-                }
-                lock_ok(&self.timings)[tenant_ix].supersteps_skipped += skipped as u64;
-            }
-            let mut timings = lock_ok(&self.timings);
-            let t = &mut timings[tenant_ix];
-            t.served += 1;
-            t.recovered += u64::from(attempt > 1);
-            t.cache_hits += u64::from(served.stats.cache_hit);
-            t.queue_us.push(served.stats.queued.as_micros() as u64);
-            t.plan += served.stats.plan;
-            t.exec += served.stats.exec;
-        }
-        outcome
+        })
     }
 
     /// Serve one iterative fixpoint job (see [`crate::iterative`]) on
@@ -629,119 +566,151 @@ impl Orchestrator {
         tenant: &str,
         job: &IterativeJob,
     ) -> Result<ServedIterative, QueryError> {
+        let (tenant_ix, grant, _slot) = self.admit(tenant)?;
+        // Prepare once: the whole fixpoint is computed locally and
+        // deterministically, so every recovery attempt replays the exact
+        // same schedule (the same pinning argument as `serve_as`).
+        let plan_start = Instant::now();
+        let prepared = job
+            .prepare(self.service.context().tree())
+            .inspect_err(|e| {
+                if matches!(e, QueryError::IterationLimit { .. }) {
+                    lock_ok(&self.timings)[tenant_ix].iteration_limits += 1;
+                }
+                // Drop any chaos plan armed for this job with the job.
+                self.injector.clear_armed();
+            })?;
+        let plan = plan_start.elapsed();
+        self.with_recovery(tenant_ix, grant, || {
+            let exec_start = Instant::now();
+            let outcome = prepared.run_on(self.service.context().tree(), self.service.backend())?;
+            Ok(ServedIterative {
+                outcome,
+                stats: ServiceStats {
+                    ticket: grant.ticket,
+                    queued: grant.queued,
+                    plan,
+                    exec: exec_start.elapsed(),
+                    cache_hit: false,
+                },
+            })
+        })
+    }
+
+    /// Admission for one request: resolve `tenant`, block for its
+    /// weighted-fair grant, record the grant's fairness metric and run
+    /// one scaling tick. The returned guard holds the tenant's slot.
+    fn admit<'a>(&'a self, tenant: &'a str) -> Result<(usize, Grant, SlotGuard<'a>), QueryError> {
         let tenant_ix = self
             .specs
             .iter()
             .position(|s| s.name == tenant)
             .ok_or_else(|| QueryError::UnknownTenant(tenant.to_string()))?;
         let grant = self.admission.acquire(tenant)?;
-        let _slot = SlotGuard {
+        let slot = SlotGuard {
             admission: &self.admission,
             tenant,
         };
         {
+            // The structural fairness metric: grants to other queries
+            // between this one's enqueue and its own grant.
             let mut timings = lock_ok(&self.timings);
             let t = &mut timings[tenant_ix];
             t.max_waited_grants = t.max_waited_grants.max(grant.waited_grants);
         }
         self.scale_tick(grant.queued);
+        Ok((tenant_ix, grant, slot))
+    }
 
-        // Prepare once: the whole fixpoint is computed locally and
-        // deterministically, so every recovery attempt replays the exact
-        // same schedule (the same pinning argument as `serve_as`).
-        let plan_start = Instant::now();
-        let prepared = match job.prepare(self.service.context().tree()) {
-            Ok(p) => p,
-            Err(e) => {
-                if matches!(e, QueryError::IterationLimit { .. }) {
-                    lock_ok(&self.timings)[tenant_ix].iteration_limits += 1;
-                }
-                // Drop any chaos plan armed for this job with the job.
-                self.injector.clear_armed();
-                return Err(e);
-            }
-        };
-        let plan_time = plan_start.elapsed();
-
-        let backend = self.service.backend();
-        let mut attempt = 1u32;
-        let exec_start = Instant::now();
-        let outcome = loop {
-            match prepared.run_on(self.service.context().tree(), backend) {
-                Err(e) if e.is_recoverable() => {
-                    if matches!(e, QueryError::SuperstepTimeout { .. }) {
-                        self.pending_timeouts.fetch_add(1, Ordering::Relaxed);
-                        lock_ok(&self.timings)[tenant_ix].timeouts += 1;
-                    }
-                    lock_ok(&self.recoveries).push(RecoveryEvent {
-                        tenant: tenant.to_string(),
-                        ticket: grant.ticket,
-                        fault: fault_event_of(&e, self.service.context().tree()),
-                        attempt,
-                        resumed_from: None,
-                        replayed_supersteps: None,
-                        skipped_supersteps: 0,
-                    });
-                    if attempt >= self.retry.max_attempts {
-                        self.injector.clear_armed();
-                        break Err(QueryError::RecoveryExhausted {
-                            attempts: attempt,
-                            last: Box::new(e),
-                        });
-                    }
-                    let delay = self.retry.backoff.delay(attempt);
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-                    attempt += 1;
-                    continue;
-                }
+    /// The replay-recovery loop behind both [`serve_as`](Self::serve_as)
+    /// and [`serve_iterative`](Self::serve_iterative): run `attempt`
+    /// until it succeeds, fails non-recoverably, or has run
+    /// `max_attempts` times. Each recoverable fault is logged as a
+    /// [`RecoveryEvent`] (timeouts also feed the scaling observation);
+    /// on success the attempt's replay bookkeeping is patched onto the
+    /// last event and its telemetry — that attempt's alone — is credited
+    /// to the tenant.
+    fn with_recovery<T: Served>(
+        &self,
+        tenant_ix: usize,
+        grant: Grant,
+        mut attempt: impl FnMut() -> Result<T, QueryError>,
+    ) -> Result<T, QueryError> {
+        let tenant = &self.specs[tenant_ix].name;
+        let mut n = 1u32;
+        let served = loop {
+            let e = match attempt() {
+                Ok(served) => break served,
+                Err(e) if e.is_recoverable() => e,
                 Err(e) => {
+                    // Non-recoverable: drop any plan armed for this
+                    // request instead of leaking it into the next one.
                     self.injector.clear_armed();
-                    break Err(e);
+                    return Err(e);
                 }
-                Ok(outcome) => break Ok(outcome),
+            };
+            if matches!(e, QueryError::SuperstepTimeout { .. }) {
+                self.pending_timeouts.fetch_add(1, Ordering::Relaxed);
+                lock_ok(&self.timings)[tenant_ix].timeouts += 1;
             }
+            lock_ok(&self.recoveries).push(RecoveryEvent {
+                tenant: tenant.clone(),
+                ticket: grant.ticket,
+                fault: fault_event_of(&e, self.service.context().tree()),
+                attempt: n,
+                resumed_from: None,
+                replayed_supersteps: None,
+                skipped_supersteps: 0,
+            });
+            if n >= self.retry.max_attempts {
+                // Total loss (or an adversarial re-arming loop): give up
+                // with a typed error after exactly `max_attempts`
+                // executions, dropping any still-armed chaos plans with
+                // the request.
+                self.injector.clear_armed();
+                return Err(QueryError::RecoveryExhausted {
+                    attempts: n,
+                    last: Box::new(e),
+                });
+            }
+            let delay = self.retry.backoff.delay(n);
+            if !delay.is_zero() {
+                std::thread::sleep(delay);
+            }
+            // The faulted run consumed its armed plan (FIFO one-shot), so
+            // the replay sees the next armed plan if the chaos schedule
+            // re-armed, or a healthy crew.
+            n += 1;
         };
-        let exec_time = exec_start.elapsed();
-
-        match outcome {
-            Ok(outcome) => {
-                if attempt > 1 {
-                    let resumed = outcome.resumed_from;
-                    let skipped = resumed.unwrap_or(0);
-                    let mut recs = lock_ok(&self.recoveries);
-                    if let Some(last) = recs
-                        .iter_mut()
-                        .rev()
-                        .find(|r| r.ticket == grant.ticket && r.tenant == tenant)
-                    {
-                        last.resumed_from = resumed;
-                        last.replayed_supersteps = Some(outcome.supersteps - skipped);
-                        last.skipped_supersteps = skipped;
-                    }
-                    lock_ok(&self.timings)[tenant_ix].supersteps_skipped += skipped as u64;
-                }
-                let mut timings = lock_ok(&self.timings);
-                let t = &mut timings[tenant_ix];
-                t.served += 1;
-                t.recovered += u64::from(attempt > 1);
-                t.queue_us.push(grant.queued.as_micros() as u64);
-                t.plan += plan_time;
-                t.exec += exec_time;
-                Ok(ServedIterative {
-                    outcome,
-                    stats: ServiceStats {
-                        ticket: grant.ticket,
-                        queued: grant.queued,
-                        plan: plan_time,
-                        exec: exec_time,
-                        cache_hit: false,
-                    },
-                })
+        let recovered = n > 1;
+        let mut skipped = 0;
+        if recovered {
+            // Patch the replay bookkeeping onto this request's last
+            // fault event, now that the successful attempt is known.
+            let (resumed, supersteps) = served.replay();
+            skipped = resumed.unwrap_or(0);
+            let mut recs = lock_ok(&self.recoveries);
+            if let Some(last) = recs
+                .iter_mut()
+                .rev()
+                .find(|r| r.ticket == grant.ticket && r.tenant == *tenant)
+            {
+                last.resumed_from = resumed;
+                last.replayed_supersteps = Some(supersteps - skipped);
+                last.skipped_supersteps = skipped;
             }
-            Err(e) => Err(e),
         }
+        let stats = served.stats();
+        let mut timings = lock_ok(&self.timings);
+        let t = &mut timings[tenant_ix];
+        t.served += 1;
+        t.recovered += u64::from(recovered);
+        t.supersteps_skipped += skipped as u64;
+        t.cache_hits += u64::from(stats.cache_hit);
+        t.queue_us.push(stats.queued.as_micros() as u64);
+        t.plan += stats.plan;
+        t.exec += stats.exec;
+        Ok(served)
     }
 
     /// One pass of the autoscaling control loop (runs between a query's
@@ -1065,33 +1034,93 @@ mod tests {
 
     #[test]
     fn recovery_exhausts_after_exactly_max_attempts() {
+        // The same scenario through both serving paths: relational
+        // queries and iterative jobs share one recovery loop.
+        let c = ctx();
+        let (arcs, owners) = cycle_graph(&c);
+        let job = IterativeJob::bfs(
+            arcs,
+            owners,
+            0,
+            crate::iterative::IterativeSpec::frontier(10, 0.0),
+        );
+        for iterative in [false, true] {
+            let serve = |orch: &Orchestrator| {
+                if iterative {
+                    orch.serve_iterative("a", &job).map(drop)
+                } else {
+                    orch.serve_as("a", &query()).map(drop)
+                }
+            };
+            let orch = Orchestrator::builder(ctx())
+                .tenant(TenantSpec::new("a", 1, 4))
+                .retry(RetryPolicy::new(3))
+                .build()
+                .unwrap();
+            let victim = orch.service().context().tree().compute_nodes()[0];
+            // Queue more kill plans than the policy allows attempts: the
+            // request must give up after exactly 3 executions, leaving no
+            // armed plan behind to poison the next one.
+            for _ in 0..5 {
+                orch.inject_faults(FaultPlan::new().kill_worker(victim, 0))
+                    .unwrap();
+            }
+            match serve(&orch).unwrap_err() {
+                QueryError::RecoveryExhausted { attempts, last } => {
+                    assert_eq!(attempts, 3);
+                    assert!(matches!(*last, QueryError::FaultInjected { .. }));
+                }
+                other => panic!("expected RecoveryExhausted, got {other:?}"),
+            }
+            let recs = orch.recovery_events();
+            assert_eq!(recs.len(), 3);
+            assert_eq!(
+                recs.iter().map(|r| r.attempt).collect::<Vec<_>>(),
+                [1, 2, 3]
+            );
+            assert_eq!(orch.fault_events().len(), 3);
+            assert_eq!(orch.stats()[0].served, 0);
+            // The two surplus plans were dropped with the failed request.
+            serve(&orch).unwrap();
+            assert_eq!(orch.fault_events().len(), 3, "no leaked fault plans");
+            assert_eq!(orch.stats()[0].served, 1);
+        }
+    }
+
+    #[test]
+    fn iterative_exec_time_counts_only_the_successful_attempt() {
+        // One kill, then a 250 ms backoff before the replay: the served
+        // job's exec time (and the tenant's total) covers the successful
+        // attempt alone — not the faulted run, not the backoff sleep.
+        let backoff = Duration::from_millis(250);
+        let c = ctx();
+        let (arcs, owners) = cycle_graph(&c);
+        let job = IterativeJob::bfs(
+            arcs,
+            owners,
+            0,
+            crate::iterative::IterativeSpec::frontier(10, 0.0),
+        );
         let orch = Orchestrator::builder(ctx())
-            .tenant(TenantSpec::new("a", 1, 4))
-            .retry(RetryPolicy::new(3))
+            .tenant(TenantSpec::new("graphs", 1, 4).with_priority(Priority::Batch))
+            .retry(RetryPolicy::new(3).with_backoff(Backoff::Fixed(backoff)))
             .build()
             .unwrap();
         let victim = orch.service().context().tree().compute_nodes()[0];
-        // Queue more kill plans than the policy allows attempts: the
-        // query must give up after exactly 3 executions, leaving no
-        // armed plan behind to poison the next query.
-        for _ in 0..5 {
-            orch.inject_faults(FaultPlan::new().kill_worker(victim, 0))
-                .unwrap();
-        }
-        let err = orch.serve_as("a", &query()).unwrap_err();
-        match err {
-            QueryError::RecoveryExhausted { attempts, last } => {
-                assert_eq!(attempts, 3);
-                assert!(matches!(*last, QueryError::FaultInjected { .. }));
-            }
-            other => panic!("expected RecoveryExhausted, got {other:?}"),
-        }
-        assert_eq!(orch.recovery_events().len(), 3);
-        assert_eq!(orch.fault_events().len(), 3);
-        // The two surplus plans were dropped with the failed query.
-        let served = orch.serve_as("a", &query()).unwrap();
-        assert!(!served.result.rows(false).is_empty());
-        assert_eq!(orch.fault_events().len(), 3, "no leaked fault plans");
+        orch.inject_faults(FaultPlan::new().kill_worker(victim, 0))
+            .unwrap();
+        let started = Instant::now();
+        let served = orch.serve_iterative("graphs", &job).unwrap();
+        assert!(started.elapsed() >= backoff, "the backoff was slept");
+        assert_eq!(orch.recovery_events().len(), 1);
+        assert!(
+            served.stats.exec < backoff,
+            "exec {:?} includes the backoff",
+            served.stats.exec
+        );
+        let stats = orch.stats();
+        assert_eq!(stats[0].recovered, 1);
+        assert_eq!(stats[0].exec_total, served.stats.exec);
     }
 
     #[test]

@@ -481,7 +481,7 @@ impl<'c> Planner<'c> {
                 let args = self.args((lc, ls.width()), Some((rc, rs.width())));
                 let exchange =
                     self.registry
-                        .plan(OperatorKind::Join, self.options.forced_join(), &args)?;
+                        .plan(OperatorKind::Join, self.options.force.join, &args)?;
                 // Output estimate: key/foreign-key shape, placed by the
                 // winning strategy.
                 let (l_tot, r_tot) = (
@@ -661,7 +661,8 @@ impl<'c> Planner<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{JoinStrategy, StrategyForce};
+    use crate::context::QueryContext;
+    use crate::exec::StrategyForce;
     use crate::expr::{col, lit};
     use crate::row::Row;
     use crate::table::DistributedTable;
@@ -752,23 +753,18 @@ mod tests {
 
     #[test]
     fn forced_strategies_map_directly() {
+        // Forcing through the session builder lands on exactly the named
+        // strategy.
         let c = star_catalog(100, 100);
         let q = LogicalPlan::scan("facts").join_on(LogicalPlan::scan("dims"), "g", "g");
-        for (strategy, name) in [
-            (JoinStrategy::Weighted, "weighted-repartition"),
-            (JoinStrategy::Uniform, "uniform-repartition"),
-            (JoinStrategy::BroadcastSmall, "broadcast-small"),
+        for name in [
+            "weighted-repartition",
+            "uniform-repartition",
+            "broadcast-small",
         ] {
-            let p = lower(
-                &q,
-                &c,
-                ExecOptions {
-                    join: strategy,
-                    ..ExecOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(p.exchange().unwrap().name(), name);
+            let ctx = QueryContext::with_catalog(c.clone()).with_strategy(OperatorKind::Join, name);
+            let p = ctx.prepare(&q).unwrap();
+            assert_eq!(p.physical_plan().exchange().unwrap().name(), name);
         }
     }
 

@@ -814,9 +814,8 @@ impl StrategyRegistry {
     }
 }
 
-/// The process-wide default registry, for the legacy free-function entry
-/// points ([`execute`](crate::exec::execute)) that have no session to
-/// carry one.
+/// The process-wide default registry, for [`lower`](crate::physical::lower),
+/// which has no session to carry one.
 pub(crate) fn default_registry() -> &'static StrategyRegistry {
     static DEFAULT: OnceLock<StrategyRegistry> = OnceLock::new();
     DEFAULT.get_or_init(StrategyRegistry::with_defaults)

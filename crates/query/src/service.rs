@@ -265,7 +265,9 @@ pub struct AdmissionStats {
 /// Per-query serving telemetry, returned with every result.
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceStats {
-    /// FIFO ticket number (arrival order).
+    /// Admission ticket: the FIFO arrival ticket when served through
+    /// [`QueryService::serve`], or the weighted-fair grant number when
+    /// served through the [`Orchestrator`](crate::orchestrator::Orchestrator).
     pub ticket: u64,
     /// Time spent waiting for admission.
     pub queued: Duration,

@@ -49,7 +49,7 @@ use crate::checkpoint::{CheckpointSpec, CheckpointStore};
 use crate::cluster::{run_programs, CheckpointHook, ClusterOptions, NodeProgram, RunHooks};
 use crate::error::RuntimeError;
 use crate::fault::FaultInjector;
-use crate::pool::{ElasticPool, WorkerPool};
+use crate::pool::ElasticPool;
 
 /// Errors from engine-agnostic execution: either engine's failure mode.
 ///
@@ -235,30 +235,34 @@ impl ExecBackend for SimulatorBackend {
 /// How a [`PooledClusterBackend`] sources its thread crew.
 #[derive(Clone, Debug, Default)]
 enum Crew {
-    /// Spawn a scoped crew per `execute` call (the default).
+    /// Spawn a scoped crew per `execute` call (the default). The only
+    /// mode in which concurrent `execute` calls on one backend run in
+    /// parallel: a persistent crew serializes its jobs.
     #[default]
     Scoped,
-    /// A fixed persistent crew, spawned once and reused by every run.
-    Shared(Arc<WorkerPool>),
-    /// An elastic crew whose width a control loop may change between
-    /// runs; each `execute` pins the crew current at its start.
-    Elastic(Arc<ElasticPool>),
+    /// A persistent crew, spawned once and reused by every run. A
+    /// control loop may resize it between runs; each `execute` pins the
+    /// crew current at its start. A fixed shared pool is one that is
+    /// never resized.
+    Persistent(Arc<ElasticPool>),
 }
 
 /// The pooled cluster engine: runs a job's distributed view on a bounded
 /// worker pool (see [`crate::cluster`]).
 ///
-/// By default each execution spawns its own scoped thread crew. For
-/// serving workloads that run many jobs back to back, construct the
-/// backend with [`with_shared_pool`](Self::with_shared_pool): the crew is
-/// spawned once and reused across every `execute` call (jobs serialize on
-/// the pool; results stay bit-identical). An orchestration layer that
-/// wants to *resize* that crew between queries uses
-/// [`with_elastic_pool`](Self::with_elastic_pool) instead, and one that
-/// wants to kill workers mid-query attaches a [`FaultInjector`] with
+/// The crew comes in two kinds. By default each execution spawns its
+/// own scoped thread crew; concurrent `execute` calls on one backend then
+/// run side by side. For serving workloads that run many jobs back to
+/// back, a persistent crew is spawned once and reused across every
+/// `execute` call (jobs serialize on the pool; results stay
+/// bit-identical): [`with_shared_pool`](Self::with_shared_pool) builds
+/// one of fixed width, and an orchestration layer that wants to *resize*
+/// it between queries hands in its own [`ElasticPool`] with
+/// [`with_elastic_pool`](Self::with_elastic_pool). One that wants to kill
+/// workers mid-query attaches a [`FaultInjector`] with
 /// [`with_fault_injector`](Self::with_fault_injector). Results are
-/// bit-identical across every crew mode and width — only wall-clock
-/// changes — so none of these knobs invalidates cached plans.
+/// bit-identical across both crew kinds and every width — only
+/// wall-clock changes — so none of these knobs invalidates cached plans.
 #[derive(Clone, Debug, Default)]
 pub struct PooledClusterBackend {
     /// Pool and superstep options.
@@ -294,8 +298,7 @@ impl PooledClusterBackend {
     pub fn with_shared_pool(workers: usize) -> Self {
         PooledClusterBackend {
             options: ClusterOptions::with_workers(workers.max(1)),
-            crew: Crew::Shared(Arc::new(WorkerPool::new(workers))),
-            ..PooledClusterBackend::default()
+            ..PooledClusterBackend::with_elastic_pool(Arc::new(ElasticPool::new(workers)))
         }
     }
 
@@ -305,7 +308,7 @@ impl PooledClusterBackend {
     /// disturbing in-flight ones. Clones share the same elastic pool.
     pub fn with_elastic_pool(pool: Arc<ElasticPool>) -> Self {
         PooledClusterBackend {
-            crew: Crew::Elastic(pool),
+            crew: Crew::Persistent(pool),
             ..PooledClusterBackend::default()
         }
     }
@@ -329,20 +332,12 @@ impl PooledClusterBackend {
     }
 
     /// The persistent crew, when this backend was built with
-    /// [`with_shared_pool`](Self::with_shared_pool).
-    pub fn shared_pool(&self) -> Option<&Arc<WorkerPool>> {
-        match &self.crew {
-            Crew::Shared(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// The elastic pool, when this backend was built with
+    /// [`with_shared_pool`](Self::with_shared_pool) or
     /// [`with_elastic_pool`](Self::with_elastic_pool).
-    pub fn elastic_pool(&self) -> Option<&Arc<ElasticPool>> {
+    pub fn pool(&self) -> Option<&Arc<ElasticPool>> {
         match &self.crew {
-            Crew::Elastic(p) => Some(p),
-            _ => None,
+            Crew::Persistent(p) => Some(p),
+            Crew::Scoped => None,
         }
     }
 
@@ -360,8 +355,7 @@ impl PooledClusterBackend {
 impl ExecBackend for PooledClusterBackend {
     fn name(&self) -> String {
         match (&self.crew, self.options.workers) {
-            (Crew::Shared(p), _) => format!("pooled-cluster(shared {})", p.size()),
-            (Crew::Elastic(p), _) => format!("pooled-cluster(elastic {})", p.width()),
+            (Crew::Persistent(p), _) => format!("pooled-cluster(persistent {})", p.width()),
             (Crew::Scoped, Some(w)) => format!("pooled-cluster({w})"),
             (Crew::Scoped, None) => "pooled-cluster".into(),
         }
@@ -381,11 +375,7 @@ impl ExecBackend for PooledClusterBackend {
         let programs = programs.ok_or_else(|| unsupported(self, job))?;
         // Pin the crew for this run: an elastic resize after this point
         // affects the *next* run, never this one.
-        let crew: Option<Arc<WorkerPool>> = match &self.crew {
-            Crew::Scoped => None,
-            Crew::Shared(p) => Some(Arc::clone(p)),
-            Crew::Elastic(p) => Some(p.snapshot()),
-        };
+        let crew = self.pool().map(|p| p.snapshot());
         // Checkpointing needs both the backend's store and the job's
         // opt-in token — resumability is a property of the job.
         let checkpoint = match (&self.checkpoints, job.checkpoint_token()) {
@@ -690,8 +680,8 @@ mod tests {
             .execute(&tree, &p, &job)
             .unwrap();
         let shared = PooledClusterBackend::with_shared_pool(3);
-        assert!(shared.shared_pool().is_some());
-        assert_eq!(shared.name(), "pooled-cluster(shared 3)");
+        assert_eq!(shared.pool().map(|p| p.width()), Some(3));
+        assert_eq!(shared.name(), "pooled-cluster(persistent 3)");
         // The same crew executes many jobs — including through an
         // Arc-shared clone — with ledgers identical to a per-run crew.
         let shared2 = Arc::new(shared.clone());

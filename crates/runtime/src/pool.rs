@@ -7,7 +7,7 @@
 //! spawned once and parked between jobs, and each job (one cluster
 //! execution's worker loop) is dispatched to all of them without any
 //! spawn/join cost. [`PooledClusterBackend`](crate::PooledClusterBackend)
-//! picks it up via
+//! holds one behind an [`ElasticPool`] — of fixed width via
 //! [`with_shared_pool`](crate::PooledClusterBackend::with_shared_pool),
 //! which is what the query serving layer shares across sessions.
 //!
@@ -188,7 +188,9 @@ impl WorkerPool {
 ///
 /// This is the scaling actuator the query orchestration layer drives
 /// from its control loop (via
-/// [`PooledClusterBackend::with_elastic_pool`](crate::PooledClusterBackend::with_elastic_pool)).
+/// [`PooledClusterBackend::with_elastic_pool`](crate::PooledClusterBackend::with_elastic_pool)),
+/// and, never resized, the fixed crew behind
+/// [`PooledClusterBackend::with_shared_pool`](crate::PooledClusterBackend::with_shared_pool).
 pub struct ElasticPool {
     current: Mutex<Arc<WorkerPool>>,
 }

@@ -1,11 +1,11 @@
 //! Planner correctness across execution paths.
 //!
 //! A prepared query's exchange schedule is derived once from the plan, so
-//! the legacy `execute` shim, `QueryContext` on the simulator backend and
-//! `QueryContext` on the pooled cluster backend must produce **identical
-//! results and bit-identical metered costs** — same `edge_totals`, same
-//! rounds, same rows — for random tables, topologies, plans and join
-//! strategies.
+//! a fresh session over the same catalog, `QueryContext` on the simulator
+//! backend and `QueryContext` on the pooled cluster backend must produce
+//! **identical results and bit-identical metered costs** — same
+//! `edge_totals`, same rounds, same rows — for random tables, topologies,
+//! plans and join strategies.
 
 use proptest::prelude::*;
 use tamp::query::prelude::*;
@@ -78,37 +78,41 @@ proptest! {
         seed in 0u64..100,
         strat_pick in 0u8..4,
     ) {
+        // Cost-based, or one of the three forced repartition choices.
         let join = match strat_pick % 4 {
-            0 => JoinStrategy::Auto,
-            1 => JoinStrategy::Weighted,
-            2 => JoinStrategy::Uniform,
-            _ => JoinStrategy::BroadcastSmall,
+            0 => None,
+            1 => Some("weighted-repartition"),
+            2 => Some("uniform-repartition"),
+            _ => Some("broadcast-small"),
         };
-        let ctx = make_context(tree_pick, fact_rows, groups, skew)
-            .with_seed(seed)
-            .with_join_strategy(join);
+        let session = |ctx: QueryContext| match join {
+            Some(name) => ctx.with_seed(seed).with_strategy(OperatorKind::Join, name),
+            None => ctx.with_seed(seed),
+        };
+        let ctx = session(make_context(tree_pick, fact_rows, groups, skew));
+        let fresh_ctx = session(QueryContext::with_catalog(ctx.catalog().clone()));
         for q in plans(threshold, limit) {
             let ord = reference::preserves_order(&q);
             let want = reference::evaluate(&q, ctx.catalog()).unwrap();
 
-            // Path 1: the legacy free-function shim.
-            let legacy = execute(ctx.catalog(), &q, ctx.options()).unwrap();
+            // Path 1: a fresh session over the same catalog.
+            let fresh = fresh_ctx.prepare(&q).unwrap().run().unwrap();
             // Path 2: prepared query on the simulator backend.
             let prepared = ctx.prepare(&q).unwrap();
             let sim = prepared.run().unwrap();
             // Path 3: the same prepared query on the pooled cluster.
             let cluster = prepared.run_on(&PooledClusterBackend::default()).unwrap();
 
-            prop_assert_eq!(&legacy.rows(ord), &want, "legacy vs reference, plan:\n{}", q);
+            prop_assert_eq!(&fresh.rows(ord), &want, "fresh vs reference, plan:\n{}", q);
             prop_assert_eq!(&sim.rows(ord), &want, "sim vs reference, plan:\n{}", q);
             prop_assert_eq!(&cluster.rows(ord), &want, "cluster vs reference, plan:\n{}", q);
 
-            prop_assert_eq!(&legacy.cost.edge_totals, &sim.cost.edge_totals, "plan:\n{}", q);
+            prop_assert_eq!(&fresh.cost.edge_totals, &sim.cost.edge_totals, "plan:\n{}", q);
             prop_assert_eq!(&sim.cost.edge_totals, &cluster.cost.edge_totals, "plan:\n{}", q);
-            prop_assert_eq!(legacy.rounds, sim.rounds, "plan:\n{}", q);
+            prop_assert_eq!(fresh.rounds, sim.rounds, "plan:\n{}", q);
             prop_assert_eq!(sim.rounds, cluster.rounds, "plan:\n{}", q);
             let eps = 1e-9;
-            prop_assert!((legacy.cost.tuple_cost() - cluster.cost.tuple_cost()).abs() < eps);
+            prop_assert!((fresh.cost.tuple_cost() - cluster.cost.tuple_cost()).abs() < eps);
         }
     }
 }

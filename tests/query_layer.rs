@@ -73,19 +73,16 @@ proptest! {
         strat_pick in 0u8..4,
     ) {
         let c = make_catalog(tree_pick, fact_rows, groups, skew);
-        let join = match strat_pick % 4 {
-            0 => JoinStrategy::Auto,
-            1 => JoinStrategy::Weighted,
-            2 => JoinStrategy::Uniform,
-            _ => JoinStrategy::BroadcastSmall,
-        };
-        let opts = ExecOptions {
-            join,
-            seed,
-            ..ExecOptions::default()
+        let ctx = QueryContext::with_catalog(c.clone()).with_seed(seed);
+        // Cost-based, or one of the three forced repartition choices.
+        let ctx = match strat_pick % 4 {
+            0 => ctx,
+            1 => ctx.with_strategy(OperatorKind::Join, "weighted-repartition"),
+            2 => ctx.with_strategy(OperatorKind::Join, "uniform-repartition"),
+            _ => ctx.with_strategy(OperatorKind::Join, "broadcast-small"),
         };
         for q in plans(threshold, limit) {
-            let res = execute(&c, &q, opts).unwrap();
+            let res = ctx.prepare(&q).unwrap().run().unwrap();
             let want = reference::evaluate(&q, &c).unwrap();
             let got = res.rows(reference::preserves_order(&q));
             prop_assert_eq!(got, want, "plan:\n{}", q);
@@ -106,8 +103,9 @@ proptest! {
             .filter(col("x").gt(lit(threshold)).and(col("tier").eq(lit(tier))))
             .aggregate("tier", AggFunc::Count, "id");
         let opt = optimize(q.clone(), &c).unwrap();
-        let a = execute(&c, &q, ExecOptions::default()).unwrap();
-        let b = execute(&c, &opt, ExecOptions::default()).unwrap();
+        let ctx = QueryContext::with_catalog(c);
+        let a = ctx.prepare(&q).unwrap().run().unwrap();
+        let b = ctx.prepare(&opt).unwrap().run().unwrap();
         prop_assert_eq!(a.rows(false), b.rows(false), "optimized:\n{}", opt);
     }
 }
@@ -121,7 +119,11 @@ fn query_costs_respect_primitive_bounds() {
     let q = LogicalPlan::scan("facts")
         .join_on(LogicalPlan::scan("dims"), "g", "g")
         .order_by("x");
-    let res = execute(&c, &q, ExecOptions::default()).unwrap();
+    let res = QueryContext::with_catalog(c)
+        .prepare(&q)
+        .unwrap()
+        .run()
+        .unwrap();
     let total: f64 = res.operator_costs.iter().map(|c| c.actual).sum();
     assert!((total - res.cost.tuple_cost()).abs() < 1e-9);
     let order_by = res
