@@ -143,7 +143,7 @@ fn run_uncached(
 }
 
 /// `threads` clients through one shared [`QueryService`] (plan cache +
-/// FIFO admission), same total query count.
+/// admission in arrival order), same total query count.
 fn run_cached(
     service: &QueryService,
     queries: &[LogicalPlan],

@@ -1,19 +1,18 @@
-//! Weighted-fair multi-tenant admission: the scheduling core of the
-//! [orchestrator](crate::orchestrator).
+//! The admission gate of the query layer: deficit-weighted round-robin
+//! (DRR) over tenants.
 //!
-//! The plain [`QueryService`](crate::service::QueryService) admits
-//! waiting queries in strict FIFO ticket order — fair for one population,
-//! but a single bursty tenant fills the queue and every other tenant
-//! waits behind the burst. This module replaces the FIFO gate with
-//! **deficit-weighted round-robin (DRR) over tenants**:
+//! The [orchestrator](crate::orchestrator) declares its tenants here; the
+//! plain [`QueryService`](crate::service::QueryService) uses the same gate
+//! with one implicit tenant (weight 1, unbounded quota,
+//! [`Priority::Normal`]), where DRR reduces to granting in arrival order.
 //!
 //! - every tenant is declared up front as a [`TenantSpec`]: a share
 //!   `weight`, a `quota` bounding its in-flight **plus** queued queries
 //!   (submits beyond the quota are rejected with
 //!   [`QueryError::TenantQueueFull`], not queued), and a [`Priority`]
 //!   class;
-//! - admission capacity is a global in-flight bound, like the FIFO
-//!   gate's; when a slot frees, the scheduler picks the next grant by
+//! - admission capacity is a global in-flight bound; when a slot frees,
+//!   the scheduler picks the next grant by
 //!   strict priority across classes and DRR within the class: each visit
 //!   replenishes a tenant's deficit by its weight and grants one query
 //!   per deficit unit, so over any backlogged window tenants receive
@@ -23,7 +22,7 @@
 //!
 //! The fairness telemetry is deliberately structural rather than
 //! wall-clock: every grant records how many *other* grants happened
-//! between its enqueue and its own grant (`Grant::waited_grants`,
+//! between its enqueue and its own grant (`Slot::waited_grants`,
 //! surfaced per tenant as `TenantStats::max_waited_grants`). For
 //! a backlogged tenant of weight `w` in a system of total weight `W`,
 //! DRR bounds that number by about `W / w` per queued position — a
@@ -31,17 +30,12 @@
 //! wall-clock p99s would flake.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::error::QueryError;
-
-fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
+use crate::lock_ok;
+use crate::service::AdmissionStats;
 
 /// Strict priority classes: every queued query of a higher class is
 /// granted before any query of a lower class is considered. Weighted
@@ -117,16 +111,26 @@ impl TenantSpec {
     }
 }
 
-/// What [`WeightedAdmission::acquire`] returns once the query is granted.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Grant {
-    /// Global grant sequence number (the orchestrator's ticket).
+/// A granted admission slot, returned by [`WeightedAdmission::acquire`].
+/// Dropping it releases the slot, also when the query errors or its
+/// thread panics.
+pub(crate) struct Slot<'a> {
+    gate: &'a WeightedAdmission,
+    /// Index of the tenant holding the slot.
+    pub tenant: usize,
+    /// Global grant sequence number: the query's ticket.
     pub ticket: u64,
     /// Grants to *other* queries between this query's enqueue and its own
     /// grant — the structural fairness metric (see the module docs).
     pub waited_grants: u64,
     /// Wall-clock time spent queued.
     pub queued: Duration,
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.gate.release(self.tenant);
+    }
 }
 
 /// One tenant's scheduler state.
@@ -180,13 +184,15 @@ struct SchedState {
     /// order) and the DRR cursor.
     classes: [(Vec<usize>, usize); 3],
     running_total: usize,
+    /// The highest `running_total` ever reached.
+    peak_running: usize,
     queued_total: usize,
     grants_total: u64,
 }
 
 /// The weighted-fair admission gate (crate-internal: the
-/// [`Orchestrator`](crate::orchestrator::Orchestrator) is its public
-/// face).
+/// [`Orchestrator`](crate::orchestrator::Orchestrator) and the
+/// [`QueryService`](crate::service::QueryService) are its public faces).
 pub(crate) struct WeightedAdmission {
     capacity: usize,
     state: Mutex<SchedState>,
@@ -225,6 +231,7 @@ impl WeightedAdmission {
                 tenants,
                 classes,
                 running_total: 0,
+                peak_running: 0,
                 queued_total: 0,
                 grants_total: 0,
             }),
@@ -232,57 +239,58 @@ impl WeightedAdmission {
         }
     }
 
-    fn index_of(s: &SchedState, tenant: &str) -> Result<usize, QueryError> {
-        s.tenants
-            .iter()
-            .position(|t| t.spec.name == tenant)
-            .ok_or_else(|| QueryError::UnknownTenant(tenant.to_string()))
+    /// The [`QueryService`](crate::service::QueryService)'s gate: one
+    /// implicit tenant (index 0) of weight 1, unbounded quota and
+    /// [`Priority::Normal`], so grants come in arrival order.
+    pub(crate) fn single_tenant(capacity: usize) -> Self {
+        WeightedAdmission::new(capacity, vec![TenantSpec::new("service", 1, usize::MAX)])
     }
 
-    /// Block until this tenant's next queued query is granted. Rejects
-    /// (without queuing) when the tenant is unknown or at quota.
-    pub(crate) fn acquire(&self, tenant: &str) -> Result<Grant, QueryError> {
+    /// Block until the next queued query of tenant `tenant` (an index in
+    /// declaration order) is granted. Rejects, without queuing, when the
+    /// tenant is at its quota.
+    pub(crate) fn acquire(&self, tenant: usize) -> Result<Slot<'_>, QueryError> {
         let arrived = Instant::now();
         let mut s = lock_ok(&self.state);
-        let i = Self::index_of(&s, tenant)?;
-        if s.tenants[i].occupancy() >= s.tenants[i].spec.quota {
-            s.tenants[i].rejected += 1;
+        let t = &mut s.tenants[tenant];
+        if t.occupancy() >= t.spec.quota {
+            t.rejected += 1;
             return Err(QueryError::TenantQueueFull {
-                tenant: tenant.to_string(),
-                quota: s.tenants[i].spec.quota,
+                tenant: t.spec.name.clone(),
+                quota: t.spec.quota,
             });
         }
-        let seq = s.tenants[i].enqueued;
-        s.tenants[i].enqueued += 1;
+        let seq = t.enqueued;
+        t.enqueued += 1;
         let at_enqueue = s.grants_total;
-        s.tenants[i].pending.push_back(at_enqueue);
+        s.tenants[tenant].pending.push_back(at_enqueue);
         s.queued_total += 1;
         self.schedule(&mut s);
-        while s.tenants[i].granted <= seq {
+        while s.tenants[tenant].granted <= seq {
             s = match self.cv.wait(s) {
                 Ok(s) => s,
                 Err(poisoned) => poisoned.into_inner(),
             };
         }
-        let (ticket, waited_grants) = s.tenants[i]
+        let (ticket, waited_grants) = s.tenants[tenant]
             .waits
             .remove(&seq)
             .expect("grant recorded a wait for every seq");
-        Ok(Grant {
+        Ok(Slot {
+            gate: self,
+            tenant,
             ticket,
             waited_grants,
             queued: Instant::now().saturating_duration_since(arrived),
         })
     }
 
-    /// Release a finished (or failed) query's slot.
-    pub(crate) fn release(&self, tenant: &str) {
+    /// Release a finished (or failed) query's slot: [`Slot`]'s drop.
+    fn release(&self, tenant: usize) {
         let mut s = lock_ok(&self.state);
-        if let Ok(i) = Self::index_of(&s, tenant) {
-            s.tenants[i].running = s.tenants[i].running.saturating_sub(1);
-            s.running_total = s.running_total.saturating_sub(1);
-            self.schedule(&mut s);
-        }
+        s.tenants[tenant].running -= 1;
+        s.running_total -= 1;
+        self.schedule(&mut s);
     }
 
     /// Grant queued queries while capacity allows: strict priority across
@@ -302,6 +310,7 @@ impl WeightedAdmission {
             s.grants_total += 1;
             s.queued_total -= 1;
             s.running_total += 1;
+            s.peak_running = s.peak_running.max(s.running_total);
             granted_any = true;
         }
         if granted_any {
@@ -312,36 +321,35 @@ impl WeightedAdmission {
     /// The DRR pick: the tenant receiving the next grant. `None` only if
     /// no tenant has waiters (callers check `queued_total` first).
     fn pick(s: &mut SchedState) -> Option<usize> {
-        for class in 0..Priority::ALL.len() {
-            let members = s.classes[class].0.clone();
-            if members.is_empty() {
-                continue;
-            }
-            if !members.iter().any(|&i| s.tenants[i].queued() > 0) {
+        let SchedState {
+            tenants, classes, ..
+        } = s;
+        for (members, cursor) in classes.iter_mut() {
+            if !members.iter().any(|&i| tenants[i].queued() > 0) {
                 continue;
             }
             // One full rotation is guaranteed to land on a backlogged
             // member; idle members spend no deficit.
             loop {
-                let cursor = s.classes[class].1 % members.len();
-                let i = members[cursor];
-                if s.tenants[i].queued() == 0 {
+                let at = *cursor % members.len();
+                let t = &mut tenants[members[at]];
+                if t.queued() == 0 {
                     // Ineligible: reset (DRR's anti-banking rule) and move
                     // on.
-                    s.tenants[i].deficit = 0;
-                    s.classes[class].1 = cursor + 1;
+                    t.deficit = 0;
+                    *cursor = at + 1;
                     continue;
                 }
-                if s.tenants[i].deficit == 0 {
-                    s.tenants[i].deficit = s.tenants[i].spec.weight;
+                if t.deficit == 0 {
+                    t.deficit = t.spec.weight;
                 }
-                s.tenants[i].deficit -= 1;
-                if s.tenants[i].deficit == 0 {
+                t.deficit -= 1;
+                if t.deficit == 0 {
                     // Quantum spent: the next pick starts at the next
                     // member.
-                    s.classes[class].1 = cursor + 1;
+                    *cursor = at + 1;
                 }
-                return Some(i);
+                return Some(members[at]);
             }
         }
         None
@@ -363,21 +371,27 @@ impl WeightedAdmission {
         self.capacity
     }
 
+    /// Point-in-time gate counters: grants so far, peak in flight, and
+    /// the capacity.
+    pub(crate) fn stats(&self) -> AdmissionStats {
+        let s = lock_ok(&self.state);
+        AdmissionStats {
+            admitted: s.grants_total,
+            peak_inflight: s.peak_running,
+            max_inflight: self.capacity,
+        }
+    }
+
     /// Point-in-time per-tenant counters, in registration order.
-    pub(crate) fn tenant_admission(&self) -> Vec<(String, TenantAdmission)> {
+    pub(crate) fn tenant_admission(&self) -> Vec<TenantAdmission> {
         let s = lock_ok(&self.state);
         s.tenants
             .iter()
-            .map(|t| {
-                (
-                    t.spec.name.clone(),
-                    TenantAdmission {
-                        granted: t.granted,
-                        rejected: t.rejected,
-                        queued: t.queued(),
-                        running: t.running,
-                    },
-                )
+            .map(|t| TenantAdmission {
+                granted: t.granted,
+                rejected: t.rejected,
+                queued: t.queued(),
+                running: t.running,
             })
             .collect()
     }
@@ -405,28 +419,50 @@ mod tests {
     }
 
     #[test]
-    fn unknown_tenants_and_quota_overflow_are_rejected() {
+    fn quota_overflow_is_rejected_without_queuing() {
+        // Capacity 1, quota 2: one running plus one queued query fill the
+        // quota, so a third submit is rejected instead of queued.
         let adm = WeightedAdmission::new(1, vec![TenantSpec::new("a", 1, 2)]);
-        assert!(matches!(
-            adm.acquire("nobody"),
-            Err(QueryError::UnknownTenant(_))
-        ));
-        // Fill the quota: 1 running + 1 queued... with capacity 1 the
-        // second acquire would block, so drive it from a thread.
-        let g = adm.acquire("a").unwrap();
-        assert_eq!(g.ticket, 0);
-        assert_eq!(g.waited_grants, 0);
-        let adm = Arc::new(adm);
-        let adm2 = Arc::clone(&adm);
-        let waiter = std::thread::spawn(move || adm2.acquire("a").map(|g| g.ticket));
-        // Wait until the waiter is queued, then the quota (2) is full.
-        while adm.queue_depth() == 0 {
-            std::thread::yield_now();
-        }
-        let err = adm.acquire("a").unwrap_err();
-        assert!(matches!(err, QueryError::TenantQueueFull { quota: 2, .. }));
-        adm.release("a");
-        assert_eq!(waiter.join().unwrap().unwrap(), 1);
+        let g = adm.acquire(0).unwrap();
+        assert_eq!((g.ticket, g.waited_grants), (0, 0));
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| adm.acquire(0).map(|g| g.ticket));
+            while adm.queue_depth() == 0 {
+                std::thread::yield_now();
+            }
+            let Err(err) = adm.acquire(0) else {
+                panic!("a submit beyond the quota must be rejected");
+            };
+            assert!(matches!(err, QueryError::TenantQueueFull { quota: 2, .. }));
+            drop(g);
+            assert_eq!(waiter.join().unwrap().unwrap(), 1);
+        });
+    }
+
+    #[test]
+    fn one_tenant_is_granted_in_arrival_order() {
+        // The service's gate: hold its only slot, queue the waiters one at
+        // a time, then release. Within one tenant DRR grants in arrival
+        // order, so the tickets are dense and FIFO.
+        const WAITERS: usize = 6;
+        let adm = WeightedAdmission::single_tenant(1);
+        let order = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            let hold = adm.acquire(0).unwrap();
+            for arrival in 0..WAITERS {
+                let (adm, order) = (&adm, &order);
+                scope.spawn(move || {
+                    let g = adm.acquire(0).unwrap();
+                    order.lock().unwrap().push((arrival, g.ticket));
+                });
+                while adm.queue_depth() <= arrival {
+                    std::thread::yield_now();
+                }
+            }
+            drop(hold);
+        });
+        let want: Vec<(usize, u64)> = (0..WAITERS).map(|a| (a, a as u64 + 1)).collect();
+        assert_eq!(order.into_inner().unwrap(), want);
     }
 
     #[test]
@@ -444,14 +480,13 @@ mod tests {
         let order = Arc::new(Mutex::new(Vec::new()));
         let queued = Arc::new(AtomicUsize::new(0));
         std::thread::scope(|scope| {
-            for (tenant, n) in [("big", 9usize), ("small", 3usize)] {
+            for (ix, tenant, n) in [(0, "big", 9usize), (1, "small", 3usize)] {
                 for _ in 0..n {
                     let (adm, order, queued) = (&adm, &order, &queued);
                     scope.spawn(move || {
                         queued.fetch_add(1, Ordering::SeqCst);
-                        let g = adm.acquire(tenant).unwrap();
+                        let g = adm.acquire(ix).unwrap();
                         order.lock().unwrap().push((tenant, g.waited_grants));
-                        adm.release(tenant);
                     });
                 }
             }
@@ -479,10 +514,10 @@ mod tests {
                 TenantSpec::new("bg", 8, 8).with_priority(Priority::Batch),
             ],
         ));
-        let _hold = adm.acquire("bg").unwrap();
+        let hold = adm.acquire(1).unwrap();
         let adm_bg = Arc::clone(&adm);
         let bg = std::thread::spawn(move || {
-            let g = adm_bg.acquire("bg").unwrap();
+            let g = adm_bg.acquire(1).unwrap();
             (g.ticket, std::time::Instant::now())
         });
         while adm.queue_depth() < 1 {
@@ -490,17 +525,14 @@ mod tests {
         }
         let adm_fg = Arc::clone(&adm);
         let fg = std::thread::spawn(move || {
-            let g = adm_fg.acquire("fg").unwrap();
-            let at = std::time::Instant::now();
-            adm_fg.release("fg");
-            (g.ticket, at)
+            let g = adm_fg.acquire(0).unwrap();
+            (g.ticket, std::time::Instant::now())
         });
         while adm.queue_depth() < 2 {
             std::thread::yield_now();
         }
-        adm.release("bg"); // frees the slot: fg must win it
+        drop(hold); // frees the slot: fg must win it
         let (fg_ticket, fg_at) = fg.join().unwrap();
-        adm.release("bg"); // let bg finish
         let (bg_ticket, bg_at) = bg.join().unwrap();
         assert!(fg_ticket < bg_ticket, "interactive granted first");
         assert!(fg_at <= bg_at);

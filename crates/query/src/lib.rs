@@ -140,3 +140,14 @@ pub use plan::{AggFunc, LogicalPlan};
 pub use schema::Schema;
 pub use service::{AdmissionStats, CacheStats, QueryService, ServedQuery, ServiceStats};
 pub use table::{Catalog, DistributedTable};
+
+/// Recover a guard from a possibly-poisoned mutex: the serving layer must
+/// keep serving after a panicking query thread. The state under these
+/// locks is counters, queues and immutable `Arc`s, never left
+/// half-written.
+pub(crate) fn lock_ok<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    match m.lock() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}

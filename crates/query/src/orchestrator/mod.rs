@@ -87,7 +87,7 @@ pub mod scaling;
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use tamp_runtime::{
@@ -96,21 +96,15 @@ use tamp_runtime::{
 };
 use tamp_topology::{EdgeId, Tree};
 
-use crate::admission::{Grant, Priority, TenantSpec, WeightedAdmission};
+use crate::admission::{Priority, Slot, TenantSpec, WeightedAdmission};
 use crate::context::QueryContext;
 use crate::error::QueryError;
 use crate::iterative::{IterativeJob, IterativeOutcome};
+use crate::lock_ok;
 use crate::plan::LogicalPlan;
 use crate::service::{QueryService, ServedQuery, ServiceStats};
 
 pub use scaling::{decide, ScaleDecision, ScalingEvent, ScalingObservation, ScalingSpec};
-
-fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// Recent queue waits feeding the rolling-latency scaling signal.
 const ROLLING_WINDOW: usize = 32;
@@ -465,19 +459,6 @@ impl OrchestratorBuilder {
     }
 }
 
-/// Releases the tenant's admission slot even if the query errors or the
-/// serving thread panics.
-struct SlotGuard<'a> {
-    admission: &'a WeightedAdmission,
-    tenant: &'a str,
-}
-
-impl Drop for SlotGuard<'_> {
-    fn drop(&mut self) {
-        self.admission.release(self.tenant);
-    }
-}
-
 /// A successful attempt as the recovery loop sees it: the serving
 /// telemetry credited to the tenant, and the replay bookkeeping patched
 /// onto the request's last [`RecoveryEvent`].
@@ -529,7 +510,7 @@ impl Orchestrator {
     /// Results are bit-identical (rows **and** metered `edge_totals`) to
     /// a fault-free single-session execution of the same plan.
     pub fn serve_as(&self, tenant: &str, plan: &LogicalPlan) -> Result<ServedQuery, QueryError> {
-        let (tenant_ix, grant, _slot) = self.admit(tenant)?;
+        let slot = self.admit(tenant)?;
         // Pin the plan AND the catalog snapshot once: every recovery
         // attempt replays the exact same deterministic schedule, so
         // recovered results are bit-identical even if a concurrent
@@ -540,9 +521,9 @@ impl Orchestrator {
             // the next, unrelated execution: drop it with the query.
             self.injector.clear_armed();
         })?;
-        self.with_recovery(tenant_ix, grant, || {
+        self.with_recovery(slot.tenant, slot.ticket, || {
             self.service
-                .execute_pinned(&pinned, grant.ticket, grant.queued)
+                .execute_pinned(&pinned, slot.ticket, slot.queued)
         })
     }
 
@@ -566,7 +547,7 @@ impl Orchestrator {
         tenant: &str,
         job: &IterativeJob,
     ) -> Result<ServedIterative, QueryError> {
-        let (tenant_ix, grant, _slot) = self.admit(tenant)?;
+        let slot = self.admit(tenant)?;
         // Prepare once: the whole fixpoint is computed locally and
         // deterministically, so every recovery attempt replays the exact
         // same schedule (the same pinning argument as `serve_as`).
@@ -575,20 +556,20 @@ impl Orchestrator {
             .prepare(self.service.context().tree())
             .inspect_err(|e| {
                 if matches!(e, QueryError::IterationLimit { .. }) {
-                    lock_ok(&self.timings)[tenant_ix].iteration_limits += 1;
+                    lock_ok(&self.timings)[slot.tenant].iteration_limits += 1;
                 }
                 // Drop any chaos plan armed for this job with the job.
                 self.injector.clear_armed();
             })?;
         let plan = plan_start.elapsed();
-        self.with_recovery(tenant_ix, grant, || {
+        self.with_recovery(slot.tenant, slot.ticket, || {
             let exec_start = Instant::now();
             let outcome = prepared.run_on(self.service.context().tree(), self.service.backend())?;
             Ok(ServedIterative {
                 outcome,
                 stats: ServiceStats {
-                    ticket: grant.ticket,
-                    queued: grant.queued,
+                    ticket: slot.ticket,
+                    queued: slot.queued,
                     plan,
                     exec: exec_start.elapsed(),
                     cache_hit: false,
@@ -597,29 +578,26 @@ impl Orchestrator {
         })
     }
 
-    /// Admission for one request: resolve `tenant`, block for its
-    /// weighted-fair grant, record the grant's fairness metric and run
-    /// one scaling tick. The returned guard holds the tenant's slot.
-    fn admit<'a>(&'a self, tenant: &'a str) -> Result<(usize, Grant, SlotGuard<'a>), QueryError> {
+    /// Admission for one request: resolve `tenant` to its index, block
+    /// for its weighted-fair grant, record the grant's fairness metric
+    /// and run one scaling tick. The returned slot holds the admission
+    /// until it is dropped.
+    fn admit(&self, tenant: &str) -> Result<Slot<'_>, QueryError> {
         let tenant_ix = self
             .specs
             .iter()
             .position(|s| s.name == tenant)
             .ok_or_else(|| QueryError::UnknownTenant(tenant.to_string()))?;
-        let grant = self.admission.acquire(tenant)?;
-        let slot = SlotGuard {
-            admission: &self.admission,
-            tenant,
-        };
+        let slot = self.admission.acquire(tenant_ix)?;
         {
             // The structural fairness metric: grants to other queries
             // between this one's enqueue and its own grant.
             let mut timings = lock_ok(&self.timings);
             let t = &mut timings[tenant_ix];
-            t.max_waited_grants = t.max_waited_grants.max(grant.waited_grants);
+            t.max_waited_grants = t.max_waited_grants.max(slot.waited_grants);
         }
-        self.scale_tick(grant.queued);
-        Ok((tenant_ix, grant, slot))
+        self.scale_tick(slot.queued);
+        Ok(slot)
     }
 
     /// The replay-recovery loop behind both [`serve_as`](Self::serve_as)
@@ -633,7 +611,7 @@ impl Orchestrator {
     fn with_recovery<T: Served>(
         &self,
         tenant_ix: usize,
-        grant: Grant,
+        ticket: u64,
         mut attempt: impl FnMut() -> Result<T, QueryError>,
     ) -> Result<T, QueryError> {
         let tenant = &self.specs[tenant_ix].name;
@@ -655,7 +633,7 @@ impl Orchestrator {
             }
             lock_ok(&self.recoveries).push(RecoveryEvent {
                 tenant: tenant.clone(),
-                ticket: grant.ticket,
+                ticket,
                 fault: fault_event_of(&e, self.service.context().tree()),
                 attempt: n,
                 resumed_from: None,
@@ -693,7 +671,7 @@ impl Orchestrator {
             if let Some(last) = recs
                 .iter_mut()
                 .rev()
-                .find(|r| r.ticket == grant.ticket && r.tenant == *tenant)
+                .find(|r| r.ticket == ticket && r.tenant == *tenant)
             {
                 last.resumed_from = resumed;
                 last.replayed_supersteps = Some(supersteps - skipped);
@@ -841,7 +819,7 @@ impl Orchestrator {
             .iter()
             .enumerate()
             .map(|(i, spec)| {
-                let adm = &admission[i].1;
+                let adm = &admission[i];
                 let t = &timings[i];
                 let mut sorted = t.queue_us.clone();
                 sorted.sort_unstable();

@@ -16,10 +16,11 @@
 //!   catalog version and invalidate every entry. Hit/miss/invalidation
 //!   counters are exposed via [`cache_stats`](QueryService::cache_stats).
 //! - **Admission scheduling.** In-flight queries are bounded
-//!   ([`with_max_inflight`](QueryService::with_max_inflight)); waiting
-//!   queries are admitted in strict FIFO ticket order, so a burst cannot
-//!   starve earlier arrivals. Every served query reports queue / plan /
-//!   exec timings in its [`ServiceStats`].
+//!   ([`with_max_inflight`](QueryService::with_max_inflight)) by the
+//!   crate's one admission gate ([`crate::admission`]), used with a single
+//!   implicit tenant: waiting queries are granted in arrival order, so a
+//!   burst cannot starve earlier arrivals. Every served query reports
+//!   queue / plan / exec timings in its [`ServiceStats`].
 //! - **Shared backend.** The service holds an
 //!   `Arc<dyn ExecBackend + Send + Sync>`; the pooled cluster backend can
 //!   additionally share one persistent worker crew across all queries
@@ -84,31 +85,23 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use tamp_runtime::backend::{ExecBackend, SimulatorBackend};
 use tamp_runtime::backend_from_spec;
-use tamp_topology::{EdgeId, Tree};
+use tamp_topology::EdgeId;
 
+use crate::admission::WeightedAdmission;
 use crate::context::{PreparedQuery, QueryContext};
 use crate::error::QueryError;
 use crate::exec::{self, ExecOptions, QueryResult};
+use crate::lock_ok;
 use crate::physical::strategy::PhysicalStrategy;
 use crate::physical::{lower_full, PhysicalPlan};
 use crate::plan::LogicalPlan;
 use crate::schema::Schema;
 use crate::table::DistributedTable;
-
-/// Recover a guard from a possibly-poisoned mutex: the service must keep
-/// serving after a panicking query thread (the state under these locks is
-/// counters and immutable `Arc`s, never left half-written).
-fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// One immutable generation of the service's session state. Queries
 /// snapshot the `Arc` once and keep planning/executing against it even if
@@ -191,70 +184,10 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-/// FIFO bounded-admission gate: tickets are issued on arrival and
-/// admitted strictly in ticket order as completions free slots.
-struct Admission {
-    max_inflight: usize,
-    state: Mutex<AdmissionState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct AdmissionState {
-    next_ticket: u64,
-    completed: u64,
-    running: usize,
-    peak_inflight: usize,
-}
-
-impl Admission {
-    fn new(max_inflight: usize) -> Self {
-        Admission {
-            max_inflight: max_inflight.max(1),
-            state: Mutex::new(AdmissionState::default()),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Block until admitted; returns the query's ticket number.
-    fn acquire(&self) -> u64 {
-        let mut s = lock_ok(&self.state);
-        let ticket = s.next_ticket;
-        s.next_ticket += 1;
-        while ticket >= s.completed + self.max_inflight as u64 {
-            s = match self.cv.wait(s) {
-                Ok(s) => s,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
-        s.running += 1;
-        s.peak_inflight = s.peak_inflight.max(s.running);
-        ticket
-    }
-
-    fn release(&self) {
-        let mut s = lock_ok(&self.state);
-        s.running -= 1;
-        s.completed += 1;
-        drop(s);
-        self.cv.notify_all();
-    }
-}
-
-/// Releases the admission slot even if the query errors or panics.
-struct Permit<'a>(&'a Admission);
-
-impl Drop for Permit<'_> {
-    fn drop(&mut self) {
-        self.0.release();
-    }
-}
-
 /// Admission-gate counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AdmissionStats {
-    /// Queries admitted so far (equals issued tickets once the queue
-    /// drains).
+    /// Queries admitted so far: the gate's grant count.
     pub admitted: u64,
     /// The highest number of queries ever in flight together.
     pub peak_inflight: usize,
@@ -265,9 +198,10 @@ pub struct AdmissionStats {
 /// Per-query serving telemetry, returned with every result.
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceStats {
-    /// Admission ticket: the FIFO arrival ticket when served through
-    /// [`QueryService::serve`], or the weighted-fair grant number when
-    /// served through the [`Orchestrator`](crate::orchestrator::Orchestrator).
+    /// Admission ticket: the query's grant number at the admission gate
+    /// — [`QueryService::serve`]'s or the
+    /// [`Orchestrator`](crate::orchestrator::Orchestrator)'s. Through
+    /// `serve` it is dense and in arrival order.
     pub ticket: u64,
     /// Time spent waiting for admission.
     pub queued: Duration,
@@ -290,13 +224,13 @@ pub struct ServedQuery {
 }
 
 /// A thread-safe query-serving layer: shared catalog, shared backend,
-/// prepared-plan cache, FIFO bounded admission. See the [module
-/// docs](self).
+/// prepared-plan cache, bounded admission in arrival order. See the
+/// [module docs](self).
 pub struct QueryService {
     snapshot: RwLock<Snapshot>,
     backend: Arc<dyn ExecBackend + Send + Sync>,
     cache: Mutex<PlanCache>,
-    admission: Admission,
+    admission: WeightedAdmission,
 }
 
 impl std::fmt::Debug for QueryService {
@@ -309,19 +243,12 @@ impl std::fmt::Debug for QueryService {
     }
 }
 
-/// Canonical fingerprint of the topology a snapshot is bound to: node
-/// kinds plus every edge's endpoints and exact bandwidth bits
-/// ([`Tree::fingerprint`]).
-fn tree_fingerprint(tree: &Tree) -> u64 {
-    tree.fingerprint()
-}
-
 impl QueryService {
     /// Wrap a session into a serving layer over `backend`. The context's
     /// catalog, options and strategy registry become the service's
     /// initial (version 0) state.
     pub fn new(ctx: QueryContext, backend: Arc<dyn ExecBackend + Send + Sync>) -> Self {
-        let tree_fp = tree_fingerprint(ctx.tree());
+        let tree_fp = ctx.tree().fingerprint();
         let default_inflight = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
@@ -334,7 +261,7 @@ impl QueryService {
             }),
             backend,
             cache: Mutex::new(PlanCache::default()),
-            admission: Admission::new(default_inflight),
+            admission: WeightedAdmission::single_tenant(default_inflight),
         }
     }
 
@@ -353,8 +280,9 @@ impl QueryService {
         Ok(QueryService::new(ctx, backend))
     }
 
-    /// Builder-style: bound concurrent in-flight queries. Arrivals beyond
-    /// the bound queue in FIFO ticket order.
+    /// Builder-style: bound concurrent in-flight queries (the admission
+    /// gate's capacity). Arrivals beyond the bound queue and are granted
+    /// in arrival order.
     ///
     /// A bound of 0 is a typed [`QueryError::InvalidAdmissionLimit`]: a
     /// zero-slot gate could never admit a query, so it is rejected here
@@ -363,7 +291,7 @@ impl QueryService {
         if max_inflight == 0 {
             return Err(QueryError::InvalidAdmissionLimit);
         }
-        self.admission = Admission::new(max_inflight);
+        self.admission = WeightedAdmission::single_tenant(max_inflight);
         Ok(self)
     }
 
@@ -400,12 +328,7 @@ impl QueryService {
 
     /// Point-in-time admission counters.
     pub fn admission_stats(&self) -> AdmissionStats {
-        let s = lock_ok(&self.admission.state);
-        AdmissionStats {
-            admitted: s.completed + s.running as u64,
-            peak_inflight: s.peak_inflight,
-            max_inflight: self.admission.max_inflight,
-        }
+        self.admission.stats()
     }
 
     /// Register (or replace) a table: copy-on-write the session snapshot,
@@ -450,31 +373,15 @@ impl QueryService {
     /// The result is bit-identical (rows **and** metered `edge_totals`)
     /// to `QueryContext::prepare(plan)?.run_on(backend)` against the same
     /// catalog generation.
-    pub fn serve(&self, plan: &LogicalPlan) -> Result<ServedQuery, QueryError> {
-        let arrived = Instant::now();
-        let ticket = self.admission.acquire();
-        let _permit = Permit(&self.admission);
-        let admitted = Instant::now();
-        self.serve_prepared(plan, ticket, admitted.saturating_duration_since(arrived))
-    }
-
-    /// The plan-and-execute half of [`serve`](Self::serve), with the
-    /// admission already decided by the caller: the FIFO gate (`serve`)
-    /// or the orchestrator's weighted-fair gate, which supplies its own
-    /// ticket and measured queue time.
     ///
     /// The queue → plan → exec timeline is monotone by construction: each
     /// phase boundary is captured once and durations are taken between
     /// consecutive boundaries with `saturating_duration_since`, so a
     /// coarse or non-monotone platform clock can underflow none of them.
-    pub(crate) fn serve_prepared(
-        &self,
-        plan: &LogicalPlan,
-        ticket: u64,
-        queued: Duration,
-    ) -> Result<ServedQuery, QueryError> {
+    pub fn serve(&self, plan: &LogicalPlan) -> Result<ServedQuery, QueryError> {
+        let slot = self.admission.acquire(0)?;
         let pinned = self.prepare_pinned(plan)?;
-        self.execute_pinned(&pinned, ticket, queued)
+        self.execute_pinned(&pinned, slot.ticket, slot.queued)
     }
 
     /// Plan (against the current snapshot, through the cache) and pin the
@@ -570,7 +477,7 @@ impl QueryService {
             mutate(&mut ctx)?;
             // The mutation may have re-weighted the topology in place
             // (degrade_link): refresh the fingerprint with the version.
-            s.tree_fp = tree_fingerprint(ctx.tree());
+            s.tree_fp = ctx.tree().fingerprint();
             s.ctx = Arc::new(ctx);
             s.version += 1;
             s.version
@@ -769,12 +676,15 @@ mod tests {
         // deterministically (a cold start could thundering-herd several
         // misses for the same plan, since lowering happens outside the
         // cache lock).
-        for q in &qs {
-            assert!(!service.serve(q).unwrap().stats.cache_hit);
+        for (i, q) in qs.iter().enumerate() {
+            let warm = service.serve(q).unwrap().stats;
+            assert!(!warm.cache_hit);
+            assert_eq!(warm.ticket, i as u64);
         }
+        let tickets = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
             for t in 0..6 {
-                let (service, qs, serial) = (&service, &qs, &serial);
+                let (service, qs, serial, tickets) = (&service, &qs, &serial, &tickets);
                 scope.spawn(move || {
                     for i in 0..6 {
                         let q = &qs[(t + i) % qs.len()];
@@ -783,10 +693,16 @@ mod tests {
                         assert!(served.stats.cache_hit);
                         assert_eq!(served.result.rows(false), want.rows(false));
                         assert_eq!(served.result.cost.edge_totals, want.cost.edge_totals);
+                        tickets.lock().unwrap().push(served.stats.ticket);
                     }
                 });
             }
         });
+        // Grant numbers are dense: the threaded serves got exactly the
+        // tickets after the warm-up's.
+        let mut tickets = tickets.into_inner().unwrap();
+        tickets.sort_unstable();
+        assert_eq!(tickets, (3..=38).collect::<Vec<u64>>());
         let adm = service.admission_stats();
         assert_eq!(adm.admitted, 39); // 3 warm-up + 36 threaded
         assert!(adm.peak_inflight <= 3, "{adm:?}");

@@ -42,11 +42,6 @@ use crate::cost::{Cost, Ledger};
 
 const NONE: u32 = u32::MAX;
 
-/// Node count at which [`TrafficMeter::commit_round`] switches from the
-/// sequential post-order fold to the chunked parallel sweep. Below this,
-/// thread spawn overhead dwarfs the O(n) sweep itself.
-const PARALLEL_SWEEP_THRESHOLD: usize = 4096;
-
 /// Union-of-paths, per-directed-edge traffic metering over a sequence of
 /// rounds, charged in aggregate (see the module docs).
 ///
@@ -60,12 +55,6 @@ pub struct TrafficMeter {
     lca: LcaIndex,
     /// Nodes in DFS preorder of the rooting at node 0 (parents first).
     order: Vec<u32>,
-    /// Preorder position of each node (inverse of `order`).
-    pos: Vec<u32>,
-    /// Subtree size of each node under the root-0 rooting; together with
-    /// `pos`, `subtree(v)` is the contiguous preorder range
-    /// `[pos[v], pos[v] + size[v])` — the key to the parallel sweep.
-    size: Vec<u32>,
     /// Deeper endpoint of each undirected edge (the child side).
     edge_child: Vec<u32>,
     /// Per-node delta accumulator for child→parent (up) charges. The
@@ -92,23 +81,11 @@ impl TrafficMeter {
         let n = tree.num_nodes();
         let lca = LcaIndex::new(tree);
         let order: Vec<u32> = tree.dfs_order().iter().map(|v| v.0).collect();
-        let mut pos = vec![0u32; n];
-        for (i, &v) in order.iter().enumerate() {
-            pos[v as usize] = i as u32;
-        }
-        let mut size = vec![1u32; n];
-        for &x in order.iter().rev() {
-            if let Some(p) = lca.parent(NodeId(x)) {
-                size[p.index()] += size[x as usize];
-            }
-        }
         let edge_child = tree.edges().map(|e| tree.deeper_endpoint(e).0).collect();
         TrafficMeter {
             ledger: Ledger::new(tree),
             lca,
             order,
-            pos,
-            size,
             edge_child,
             up: vec![0; n],
             down: vec![0; n],
@@ -234,52 +211,27 @@ impl TrafficMeter {
         *x = x.wrapping_sub(amount);
     }
 
-    /// Commit the accumulated charges as one finished round: the
-    /// per-node deltas become per-edge subtree sums, emitted sparsely in
-    /// edge-id order. O(n + touched) work; above
-    /// `PARALLEL_SWEEP_THRESHOLD` (4096) nodes the sweep runs chunked across
-    /// threads with a deterministic reduction order, so both paths emit
-    /// the identical pair sequence.
+    /// Commit the accumulated charges as one finished round: a post-order
+    /// fold turns the per-node deltas into per-edge subtree sums, emitted
+    /// sparsely in edge-id order. O(n + touched) work.
     pub fn commit_round(&mut self) {
         if !self.dirty {
             self.ledger.push_round(Vec::new());
             return;
         }
-        let pairs = if self.order.len() >= PARALLEL_SWEEP_THRESHOLD {
-            self.sweep_parallel()
-        } else {
-            self.sweep_sequential()
-        };
+        let pairs = self.sweep();
         self.up.fill(0);
         self.down.fill(0);
         self.dirty = false;
         self.ledger.push_round(pairs);
     }
 
-    /// Emit the two directed charges of undirected edge `e` (child side
-    /// `child`, subtree sums `su` up / `sd` down), ascending by dir-edge
-    /// id — shared by both sweep paths so their output is bit-identical.
-    #[inline]
-    fn push_edge_pairs(&self, e: usize, child: u32, su: u64, sd: u64, out: &mut Vec<(u32, u64)>) {
-        if su == 0 && sd == 0 {
-            return;
-        }
-        debug_assert!(su <= u64::MAX / 2 && sd <= u64::MAX / 2, "negative charge");
-        let up_dir = self.lca.up_edge(NodeId(child)).map_or(NONE, |d| d.0);
-        let d0 = (e as u32) << 1;
-        let (first, second) = if up_dir == d0 { (su, sd) } else { (sd, su) };
-        if first > 0 {
-            out.push((d0, first));
-        }
-        if second > 0 {
-            out.push((d0 | 1, second));
-        }
-    }
-
-    /// The sequential post-order fold: children precede parents in
-    /// reverse DFS order, so folding each node into its parent leaves
-    /// every node holding its subtree sum.
-    fn sweep_sequential(&mut self) -> Vec<(u32, u64)> {
+    /// The post-order fold: children precede parents in reverse DFS
+    /// order, so folding each node into its parent leaves every node
+    /// holding its subtree sum; each undirected edge then emits its two
+    /// directed charges (child side up, parent side down), ascending by
+    /// dir-edge id.
+    fn sweep(&mut self) -> Vec<(u32, u64)> {
         for &x in self.order.iter().rev() {
             if let Some(p) = self.lca.parent(NodeId(x)) {
                 let (xi, pi) = (x as usize, p.index());
@@ -294,84 +246,20 @@ impl TrafficMeter {
         );
         let mut pairs: Vec<(u32, u64)> = Vec::new();
         for (e, &child) in self.edge_child.iter().enumerate() {
-            let x = child as usize;
-            self.push_edge_pairs(e, child, self.up[x], self.down[x], &mut pairs);
-        }
-        pairs
-    }
-
-    /// The parallel sweep: a subtree is a contiguous preorder range, so
-    /// `subtree_sum(v) = P[pos[v] + size[v]] − P[pos[v]]` over the
-    /// wrapping prefix sums `P` of the preorder-permuted deltas — no
-    /// serial parent chain at all. The permutation gather and the
-    /// per-edge emission are chunked over `std::thread::scope`; chunks
-    /// are contiguous index ranges concatenated in order, so the emitted
-    /// pair sequence is deterministic and identical to the fold's.
-    fn sweep_parallel(&self) -> Vec<(u32, u64)> {
-        let n = self.order.len();
-        let threads = std::thread::available_parallelism()
-            .map_or(1, usize::from)
-            .clamp(1, 8);
-        let chunk = n.div_ceil(threads);
-        let mut pu = vec![0u64; n + 1];
-        let mut pd = vec![0u64; n + 1];
-        std::thread::scope(|s| {
-            let order = &self.order;
-            let (up, down) = (&self.up, &self.down);
-            let mut rest_u = &mut pu[1..];
-            let mut rest_d = &mut pd[1..];
-            let mut start = 0usize;
-            while !rest_u.is_empty() {
-                let take = chunk.min(rest_u.len());
-                let (cu, ru) = rest_u.split_at_mut(take);
-                let (cd, rd) = rest_d.split_at_mut(take);
-                (rest_u, rest_d) = (ru, rd);
-                s.spawn(move || {
-                    for (k, (u, d)) in cu.iter_mut().zip(cd.iter_mut()).enumerate() {
-                        let v = order[start + k] as usize;
-                        *u = up[v];
-                        *d = down[v];
-                    }
-                });
-                start += take;
+            let (su, sd) = (self.up[child as usize], self.down[child as usize]);
+            if su == 0 && sd == 0 {
+                continue;
             }
-        });
-        // Wrapping prefix sums: one cheap serial pass (the fold's serial
-        // part was O(depth)-dependent; this is a flat scan).
-        for i in 0..n {
-            pu[i + 1] = pu[i + 1].wrapping_add(pu[i]);
-            pd[i + 1] = pd[i + 1].wrapping_add(pd[i]);
-        }
-        debug_assert_eq!(pu[n], 0, "up deltas must cancel");
-        debug_assert_eq!(pd[n], 0, "down deltas must cancel");
-        // Per-edge emission, chunked in edge-id order.
-        let e_chunk = self.edge_child.len().div_ceil(threads).max(1);
-        let mut chunks: Vec<Vec<(u32, u64)>> = Vec::new();
-        std::thread::scope(|s| {
-            let (pu, pd) = (&pu, &pd);
-            let handles: Vec<_> = self
-                .edge_child
-                .chunks(e_chunk)
-                .enumerate()
-                .map(|(ci, children)| {
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        for (k, &child) in children.iter().enumerate() {
-                            let p = self.pos[child as usize] as usize;
-                            let sz = self.size[child as usize] as usize;
-                            let su = pu[p + sz].wrapping_sub(pu[p]);
-                            let sd = pd[p + sz].wrapping_sub(pd[p]);
-                            self.push_edge_pairs(ci * e_chunk + k, child, su, sd, &mut out);
-                        }
-                        out
-                    })
-                })
-                .collect();
-            chunks = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        });
-        let mut pairs = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-        for c in chunks {
-            pairs.extend(c);
+            debug_assert!(su <= u64::MAX / 2 && sd <= u64::MAX / 2, "negative charge");
+            let up_dir = self.lca.up_edge(NodeId(child)).map_or(NONE, |d| d.0);
+            let d0 = (e as u32) << 1;
+            let (first, second) = if up_dir == d0 { (su, sd) } else { (sd, su) };
+            if first > 0 {
+                pairs.push((d0, first));
+            }
+            if second > 0 {
+                pairs.push((d0 | 1, second));
+            }
         }
         pairs
     }
@@ -613,14 +501,15 @@ mod tests {
         assert_eq!(cost.total_tuples(), 2); // 1 tuple × 2 hops
     }
 
-    /// Above [`PARALLEL_SWEEP_THRESHOLD`] nodes `commit_round` takes the
-    /// chunked prefix-sum sweep; it must emit the *identical* pair
-    /// sequence as the sequential fold, not merely the same totals.
+    /// The oracle check on a tree large enough to matter (≥ 4096 nodes),
+    /// cheap enough for debug builds: one round of 2,000 seeded
+    /// multicasts must commit the same ledger as the per-path oracle.
     #[test]
-    fn parallel_sweep_matches_sequential_fold() {
+    fn large_tree_commit_matches_per_path_oracle() {
         let tree = builders::random_tree(3000, 2500, 0.5, 16.0, 42);
-        assert!(tree.nodes().count() >= PARALLEL_SWEEP_THRESHOLD);
-        let mut m = TrafficMeter::new(&tree);
+        assert!(tree.nodes().count() >= 4096);
+        let mut agg = TrafficMeter::new(&tree);
+        let mut naive = oracle::NaivePathMeter::new(&tree);
         let all: Vec<NodeId> = tree.nodes().collect();
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..2_000 {
@@ -629,14 +518,16 @@ mod tests {
             for _ in 0..rng.random_range(1..4usize) {
                 dsts.push(all[rng.random_range(0..all.len())]);
             }
-            m.charge_multicast(src, &dsts, rng.random_range(0..50u64));
+            let amount = rng.random_range(0..50u64);
+            agg.charge_multicast(src, &dsts, amount);
+            naive.charge_multicast(&tree, src, &dsts, amount);
         }
-        // Parallel reads the raw deltas (`&self`); sequential folds them
-        // in place, so it must run second.
-        let par = m.sweep_parallel();
-        let seq = m.sweep_sequential();
-        assert_eq!(par, seq);
-        assert!(!par.is_empty());
+        agg.commit_round();
+        naive.commit_round();
+        let (agg, naive) = (agg.finish(), naive.finish());
+        assert_eq!(agg.edge_totals, naive.edge_totals);
+        assert_eq!(agg.per_round, naive.per_round);
+        assert!(agg.total_tuples() > 0);
     }
 
     /// Drive identical random batches — unicasts, multicasts with

@@ -1,8 +1,9 @@
 //! An orchestration-layer walkthrough: three tenants, an elastic crew,
 //! and a worker killed mid-query that recovers by deterministic replay.
 //!
-//! The serving example showed one shared `QueryService` behind FIFO
-//! admission. This example layers the orchestrator on top:
+//! The serving example showed one shared `QueryService` admitting one
+//! implicit tenant in arrival order. This example layers the
+//! orchestrator on top, declaring several tenants of the same gate:
 //!
 //! 1. **weighted-fair admission** — three tenants with different DRR
 //!    weights (and one in the `Interactive` priority class) share a

@@ -8,7 +8,7 @@
 //!
 //! 1. caches prepared plans under a canonical fingerprint of
 //!    `(logical plan, topology, catalog version, options)`,
-//! 2. bounds in-flight queries with FIFO admission, and
+//! 2. bounds in-flight queries, granting waiters in arrival order, and
 //! 3. executes everything on one shared `ExecBackend` — here the pooled
 //!    BSP cluster with a persistent worker crew reused across every
 //!    query.
