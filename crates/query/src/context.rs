@@ -164,7 +164,8 @@ impl QueryContext {
     /// `prepare` prices its strategy candidates against the degraded
     /// network — the plan that wins can genuinely flip (see the serving
     /// layer's [`degrade_link`](crate::service::QueryService::degrade_link),
-    /// which adds cache invalidation on top).
+    /// which applies it to a copy and publishes that as a new serving
+    /// generation with an empty plan cache).
     pub fn degrade_link(&mut self, edge: EdgeId, factor: f64) -> Result<(), QueryError> {
         self.catalog.scale_bandwidth(edge, factor)
     }
@@ -396,11 +397,6 @@ impl<'c> DataFrame<'c> {
     /// Prepare and run on the default (simulator) backend.
     pub fn collect(&self) -> Result<QueryResult, QueryError> {
         self.prepare()?.run()
-    }
-
-    /// Prepare and run on an explicit backend.
-    pub fn collect_on(&self, backend: &dyn ExecBackend) -> Result<QueryResult, QueryError> {
-        self.prepare()?.run_on(backend)
     }
 }
 

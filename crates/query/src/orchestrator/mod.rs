@@ -511,17 +511,17 @@ impl Orchestrator {
     /// a fault-free single-session execution of the same plan.
     pub fn serve_as(&self, tenant: &str, plan: &LogicalPlan) -> Result<ServedQuery, QueryError> {
         let slot = self.admit(tenant)?;
-        // Pin the plan AND the catalog snapshot once: every recovery
-        // attempt replays the exact same deterministic schedule, so
-        // recovered results are bit-identical even if a concurrent
-        // `register`/`degrade_link` swaps the serving generation
-        // mid-recovery.
+        // Pin the serving generation and its prepared plan once: every
+        // recovery attempt replays the exact same deterministic schedule
+        // on the same tree, so recovered results are bit-identical even
+        // if a concurrent `register`/`degrade_link` publishes a new
+        // generation mid-recovery.
         let pinned = self.service.prepare_pinned(plan).inspect_err(|_| {
             // A plan armed for this query would otherwise leak into
             // the next, unrelated execution: drop it with the query.
             self.injector.clear_armed();
         })?;
-        self.with_recovery(slot.tenant, slot.ticket, || {
+        self.with_recovery(slot.tenant, slot.ticket, pinned.tree(), || {
             self.service
                 .execute_pinned(&pinned, slot.ticket, slot.queued)
         })
@@ -548,23 +548,24 @@ impl Orchestrator {
         job: &IterativeJob,
     ) -> Result<ServedIterative, QueryError> {
         let slot = self.admit(tenant)?;
-        // Prepare once: the whole fixpoint is computed locally and
-        // deterministically, so every recovery attempt replays the exact
-        // same schedule (the same pinning argument as `serve_as`).
+        // Pin the generation and prepare once: the whole fixpoint is
+        // computed locally and deterministically, and every recovery
+        // attempt replays that schedule on the pinned generation's tree,
+        // so a concurrent `degrade_link` never reprices a replay (the
+        // same pinning argument as `serve_as`).
+        let ctx = self.service.context();
         let plan_start = Instant::now();
-        let prepared = job
-            .prepare(self.service.context().tree())
-            .inspect_err(|e| {
-                if matches!(e, QueryError::IterationLimit { .. }) {
-                    lock_ok(&self.timings)[slot.tenant].iteration_limits += 1;
-                }
-                // Drop any chaos plan armed for this job with the job.
-                self.injector.clear_armed();
-            })?;
+        let prepared = job.prepare(ctx.tree()).inspect_err(|e| {
+            if matches!(e, QueryError::IterationLimit { .. }) {
+                lock_ok(&self.timings)[slot.tenant].iteration_limits += 1;
+            }
+            // Drop any chaos plan armed for this job with the job.
+            self.injector.clear_armed();
+        })?;
         let plan = plan_start.elapsed();
-        self.with_recovery(slot.tenant, slot.ticket, || {
+        self.with_recovery(slot.tenant, slot.ticket, ctx.tree(), || {
             let exec_start = Instant::now();
-            let outcome = prepared.run_on(self.service.context().tree(), self.service.backend())?;
+            let outcome = prepared.run_on(ctx.tree(), self.service.backend())?;
             Ok(ServedIterative {
                 outcome,
                 stats: ServiceStats {
@@ -607,11 +608,13 @@ impl Orchestrator {
     /// [`RecoveryEvent`] (timeouts also feed the scaling observation);
     /// on success the attempt's replay bookkeeping is patched onto the
     /// last event and its telemetry — that attempt's alone — is credited
-    /// to the tenant.
+    /// to the tenant. `tree` is the pinned generation's topology, which
+    /// names the faults.
     fn with_recovery<T: Served>(
         &self,
         tenant_ix: usize,
         ticket: u64,
+        tree: &Tree,
         mut attempt: impl FnMut() -> Result<T, QueryError>,
     ) -> Result<T, QueryError> {
         let tenant = &self.specs[tenant_ix].name;
@@ -634,7 +637,7 @@ impl Orchestrator {
             lock_ok(&self.recoveries).push(RecoveryEvent {
                 tenant: tenant.clone(),
                 ticket,
-                fault: fault_event_of(&e, self.service.context().tree()),
+                fault: fault_event_of(&e, tree),
                 attempt: n,
                 resumed_from: None,
                 replayed_supersteps: None,
@@ -748,9 +751,10 @@ impl Orchestrator {
     }
 
     /// Degrade one link of the serving topology (divide both directed
-    /// bandwidths of `edge` by `factor`): plan-cache invalidation via the
-    /// topology fingerprint, catalog version bump, re-pricing on every
-    /// subsequent query — see
+    /// bandwidths of `edge` by `factor`): a new serving generation with an
+    /// empty plan cache and the next catalog version, so every subsequent
+    /// query re-prices, while in-flight requests (recovery replays
+    /// included) finish on the generation they pinned — see
     /// [`QueryService::degrade_link`]. Returns the new catalog version.
     pub fn degrade_link(&self, edge: EdgeId, factor: f64) -> Result<u64, QueryError> {
         self.service.degrade_link(edge, factor)
@@ -760,11 +764,6 @@ impl Orchestrator {
     /// is enabled via [`OrchestratorBuilder::checkpoints`].
     pub fn checkpoint_stats(&self) -> Option<CheckpointStats> {
         self.checkpoints.as_ref().map(|store| store.stats())
-    }
-
-    /// The configured replay-recovery policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// Every fault that actually fired, in firing order.

@@ -7,13 +7,18 @@
 //! the queries are repeats, and planning cost should be paid once, not
 //! per request. `QueryService` is that layer:
 //!
-//! - **Prepared-plan cache.** Plans are cached under a canonical
-//!   fingerprint of `(logical plan, tree topology, catalog version,
-//!   session options)`. A hit skips validation, lowering and candidate
-//!   pricing entirely and goes straight to execution;
-//!   [`register`](QueryService::register) and
-//!   [`register_strategy`](QueryService::register_strategy) bump the
-//!   catalog version and invalidate every entry. Hit/miss/invalidation
+//! - **Serving generations.** The service publishes its session state
+//!   (catalog, topology, options, strategy registry) as one immutable
+//!   generation with a catalog version. [`register`](QueryService::register),
+//!   [`register_strategy`](QueryService::register_strategy) and
+//!   [`degrade_link`](QueryService::degrade_link) copy it on write and
+//!   publish the next version; a query pins the generation current at
+//!   its start and plans and executes against it alone.
+//! - **Prepared-plan cache.** Each generation owns its plan cache, keyed
+//!   by the logical plan alone: within one generation the catalog,
+//!   options and topology never change, and a new generation starts with
+//!   an empty cache. A hit skips validation, lowering and candidate
+//!   pricing entirely and goes straight to execution. Hit/miss/invalidation
 //!   counters are exposed via [`cache_stats`](QueryService::cache_stats).
 //! - **Admission scheduling.** In-flight queries are bounded
 //!   ([`with_max_inflight`](QueryService::with_max_inflight)) by the
@@ -82,20 +87,19 @@
 //! [`PooledClusterBackend::with_shared_pool`]:
 //!     tamp_runtime::PooledClusterBackend::with_shared_pool
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use tamp_runtime::backend::{ExecBackend, SimulatorBackend};
 use tamp_runtime::backend_from_spec;
-use tamp_topology::EdgeId;
+use tamp_topology::{EdgeId, Tree};
 
 use crate::admission::WeightedAdmission;
 use crate::context::{PreparedQuery, QueryContext};
 use crate::error::QueryError;
-use crate::exec::{self, ExecOptions, QueryResult};
+use crate::exec::{self, QueryResult};
 use crate::lock_ok;
 use crate::physical::strategy::PhysicalStrategy;
 use crate::physical::{lower_full, PhysicalPlan};
@@ -103,17 +107,24 @@ use crate::plan::LogicalPlan;
 use crate::schema::Schema;
 use crate::table::DistributedTable;
 
-/// One immutable generation of the service's session state. Queries
-/// snapshot the `Arc` once and keep planning/executing against it even if
-/// a concurrent `register` swaps in the next generation.
-struct Snapshot {
+/// One immutable generation of the service's session state and the
+/// plans prepared against it. Every mutation publishes a new generation
+/// with an empty plan cache; queries pin the `Arc` once and keep planning
+/// and executing against it even if a newer one is published meanwhile.
+struct Generation {
     ctx: Arc<QueryContext>,
     version: u64,
-    /// Fingerprint of the snapshot's topology (weights included): part
-    /// of the plan-cache key, so an in-place bandwidth mutation
-    /// ([`QueryService::degrade_link`]) can never serve a plan priced on
-    /// the healthy network.
-    tree_fp: u64,
+    plans: Mutex<PlanCache>,
+}
+
+impl Generation {
+    fn new(ctx: QueryContext, version: u64) -> Self {
+        Generation {
+            ctx: Arc::new(ctx),
+            version,
+            plans: Mutex::default(),
+        }
+    }
 }
 
 /// A cached prepared plan: the lowered physical plan plus its inferred
@@ -123,45 +134,42 @@ struct CachedPlan {
     schema: Schema,
 }
 
-/// A query pinned to one catalog snapshot and one prepared plan — see
+/// A query pinned to one generation and one prepared plan — see
 /// [`QueryService::prepare_pinned`].
 pub(crate) struct PinnedQuery {
-    ctx: Arc<QueryContext>,
+    generation: Arc<Generation>,
     plan: Arc<CachedPlan>,
     cache_hit: bool,
     plan_time: Duration,
 }
 
-/// One plan-cache slot. The fingerprint key is 64 bits, so the entry
-/// keeps the exact logical plan, options and catalog version to rule
-/// out collisions on lookup.
+impl PinnedQuery {
+    /// The topology of the pinned generation.
+    pub(crate) fn tree(&self) -> &Tree {
+        self.generation.ctx.tree()
+    }
+}
+
+/// One plan-cache slot.
 struct CacheSlot {
-    logical: LogicalPlan,
-    options: ExecOptions,
-    /// The catalog version the plan was lowered against — part of the
-    /// hit guard, so a key collision across versions can never serve a
-    /// plan priced on stale statistics.
-    version: u64,
     /// Recency tick for eviction at [`PLAN_CACHE_CAPACITY`].
     last_used: u64,
     plan: Arc<CachedPlan>,
 }
 
-/// Upper bound on cached prepared plans. A serving workload is
-/// repetition-heavy, so steady state is far below this; the cap only
-/// protects a long-lived service against a stream of never-repeating
-/// ad-hoc plans growing memory without bound. On overflow the
-/// least-recently-used entry is evicted.
+/// Upper bound on cached prepared plans per generation. A serving
+/// workload is repetition-heavy, so steady state is far below this; the
+/// cap only protects a long-lived service against a stream of
+/// never-repeating ad-hoc plans growing memory without bound. On overflow
+/// the least-recently-used entry is evicted.
 pub const PLAN_CACHE_CAPACITY: usize = 1024;
 
+/// One generation's prepared plans, keyed by the logical plan.
 #[derive(Default)]
 struct PlanCache {
-    entries: HashMap<u64, CacheSlot>,
+    entries: HashMap<LogicalPlan, CacheSlot>,
     /// Monotonic use counter backing LRU eviction.
     tick: u64,
-    hits: u64,
-    misses: u64,
-    invalidations: u64,
 }
 
 impl PlanCache {
@@ -178,7 +186,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Queries that had to lower and price their plan.
     pub misses: u64,
-    /// Cache invalidation events (`register` / `register_strategy`).
+    /// Cache invalidation events (`register` / `register_strategy` /
+    /// `degrade_link`).
     pub invalidations: u64,
     /// Entries currently cached.
     pub entries: usize,
@@ -227,9 +236,11 @@ pub struct ServedQuery {
 /// prepared-plan cache, bounded admission in arrival order. See the
 /// [module docs](self).
 pub struct QueryService {
-    snapshot: RwLock<Snapshot>,
+    generation: RwLock<Arc<Generation>>,
     backend: Arc<dyn ExecBackend + Send + Sync>,
-    cache: Mutex<PlanCache>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    invalidations: AtomicU64,
     admission: WeightedAdmission,
 }
 
@@ -248,19 +259,16 @@ impl QueryService {
     /// catalog, options and strategy registry become the service's
     /// initial (version 0) state.
     pub fn new(ctx: QueryContext, backend: Arc<dyn ExecBackend + Send + Sync>) -> Self {
-        let tree_fp = ctx.tree().fingerprint();
         let default_inflight = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
             .max(2);
         QueryService {
-            snapshot: RwLock::new(Snapshot {
-                ctx: Arc::new(ctx),
-                version: 0,
-                tree_fp,
-            }),
+            generation: RwLock::new(Arc::new(Generation::new(ctx, 0))),
             backend,
-            cache: Mutex::new(PlanCache::default()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            invalidations: AtomicU64::new(0),
             admission: WeightedAdmission::single_tenant(default_inflight),
         }
     }
@@ -300,29 +308,30 @@ impl QueryService {
         &self.backend
     }
 
-    /// The current session snapshot (catalog + options + registry).
-    /// In-flight queries keep the snapshot they started with; this
-    /// returns the newest generation.
+    /// The current generation's session state (catalog + options +
+    /// registry). In-flight queries keep the generation they started
+    /// with; this returns the newest one.
     pub fn context(&self) -> Arc<QueryContext> {
-        Arc::clone(&self.read_snapshot().0)
+        Arc::clone(&self.generation().ctx)
     }
 
     /// The catalog version: bumped by every
     /// [`register`](Self::register) /
-    /// [`register_strategy`](Self::register_strategy), part of the plan
-    /// cache key.
+    /// [`register_strategy`](Self::register_strategy) /
+    /// [`degrade_link`](Self::degrade_link), each of which publishes a
+    /// new generation with an empty plan cache.
     pub fn catalog_version(&self) -> u64 {
-        self.read_snapshot().1
+        self.generation().version
     }
 
-    /// Point-in-time plan-cache counters.
+    /// Point-in-time plan-cache counters: hits, misses and invalidations
+    /// over the service's lifetime, entries in the current generation.
     pub fn cache_stats(&self) -> CacheStats {
-        let c = lock_ok(&self.cache);
         CacheStats {
-            hits: c.hits,
-            misses: c.misses,
-            invalidations: c.invalidations,
-            entries: c.entries.len(),
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            invalidations: self.invalidations.load(Ordering::Relaxed),
+            entries: lock_ok(&self.generation().plans).entries.len(),
         }
     }
 
@@ -331,23 +340,23 @@ impl QueryService {
         self.admission.stats()
     }
 
-    /// Register (or replace) a table: copy-on-write the session snapshot,
-    /// bump the catalog version and invalidate the plan cache. In-flight
-    /// queries finish against the snapshot they started with. Returns the
-    /// new catalog version.
+    /// Register (or replace) a table: copy-on-write the session state
+    /// and publish it as the next generation, whose plan cache starts
+    /// empty. In-flight queries finish against the generation they
+    /// started with. Returns the new catalog version.
     pub fn register(&self, table: DistributedTable) -> Result<u64, QueryError> {
-        self.update_snapshot(|ctx| ctx.register(table).map(|_| ()))
+        self.publish(|ctx| ctx.register(table).map(|_| ()))
     }
 
     /// Register a custom physical strategy for every subsequent query
-    /// (see [`crate::physical::strategy`]): copy-on-write, version bump
-    /// and cache invalidation, like [`register`](Self::register).
-    /// Returns the new catalog version.
+    /// (see [`crate::physical::strategy`]): copy-on-write, a new
+    /// generation and an empty plan cache, like
+    /// [`register`](Self::register). Returns the new catalog version.
     pub fn register_strategy(
         &self,
         strategy: Arc<dyn PhysicalStrategy>,
     ) -> Result<u64, QueryError> {
-        self.update_snapshot(|ctx| {
+        self.publish(|ctx| {
             ctx.register_strategy(strategy);
             Ok(())
         })
@@ -355,16 +364,16 @@ impl QueryService {
 
     /// Degrade one link of the serving topology: divide both directed
     /// bandwidths of `edge` by `factor`, copy-on-write like
-    /// [`register`](Self::register) — catalog version bump, plan-cache
-    /// invalidation (the topology fingerprint in the cache key moves, so
-    /// even a colliding entry can never serve a stale-priced plan), and
-    /// in-flight queries finishing on the snapshot they started with.
+    /// [`register`](Self::register) — a new generation whose plan cache
+    /// starts empty, so no plan priced on the healthy network is served
+    /// again, and in-flight queries finishing on the generation they
+    /// started with.
     ///
     /// Every subsequent query re-prices its strategy candidates against
     /// the degraded network; `EXPLAIN` shows the (possibly flipped)
     /// winner. Returns the new catalog version.
     pub fn degrade_link(&self, edge: EdgeId, factor: f64) -> Result<u64, QueryError> {
-        self.update_snapshot(|ctx| ctx.degrade_link(edge, factor))
+        self.publish(|ctx| ctx.degrade_link(edge, factor))
     }
 
     /// Serve one query: admission → plan (cached) → execute on the shared
@@ -384,20 +393,20 @@ impl QueryService {
         self.execute_pinned(&pinned, slot.ticket, slot.queued)
     }
 
-    /// Plan (against the current snapshot, through the cache) and pin the
-    /// result: the returned [`PinnedQuery`] holds the snapshot `Arc` and
-    /// the shared prepared plan, so the caller can execute it any number
-    /// of times — the orchestrator's recovery loop replays the *same*
-    /// plan on the *same* catalog generation even if a concurrent
-    /// `register` or [`degrade_link`](Self::degrade_link) swaps the
-    /// service to a new generation mid-recovery. That pinning is what
-    /// makes recovered results bit-identical by construction.
+    /// Plan (against the current generation, through its cache) and pin
+    /// the result: the returned [`PinnedQuery`] holds the generation `Arc`
+    /// and the shared prepared plan, so the caller can execute it any
+    /// number of times — the orchestrator's recovery loop replays the
+    /// *same* plan on the *same* generation even if a concurrent
+    /// `register` or [`degrade_link`](Self::degrade_link) publishes a new
+    /// one mid-recovery. That pinning is what makes recovered results
+    /// bit-identical by construction.
     pub(crate) fn prepare_pinned(&self, plan: &LogicalPlan) -> Result<PinnedQuery, QueryError> {
         let planning = Instant::now();
-        let (ctx, version, tree_fp) = self.read_snapshot();
-        let (cached, cache_hit) = self.prepare_cached(&ctx, version, tree_fp, plan)?;
+        let generation = self.generation();
+        let (cached, cache_hit) = self.prepare_cached(&generation, plan)?;
         Ok(PinnedQuery {
-            ctx,
+            generation,
             plan: cached,
             cache_hit,
             plan_time: Instant::now().saturating_duration_since(planning),
@@ -405,8 +414,7 @@ impl QueryService {
     }
 
     /// Execute a pinned plan on the shared backend, stamping the serving
-    /// telemetry. Pure with respect to the service's snapshot: only the
-    /// pinned generation is read.
+    /// telemetry. Only the pinned generation is read.
     pub(crate) fn execute_pinned(
         &self,
         pinned: &PinnedQuery,
@@ -414,10 +422,11 @@ impl QueryService {
         queued: Duration,
     ) -> Result<ServedQuery, QueryError> {
         let executing = Instant::now();
+        let ctx = &pinned.generation.ctx;
         let result = exec::run_physical(
-            pinned.ctx.catalog(),
+            ctx.catalog(),
             &pinned.plan.physical,
-            pinned.ctx.options(),
+            ctx.options(),
             &self.backend,
         )?;
         let done = Instant::now();
@@ -439,13 +448,14 @@ impl QueryService {
         Ok(self.serve(plan)?.result)
     }
 
-    /// Render the query's `EXPLAIN` against the current snapshot — the
+    /// Render the query's `EXPLAIN` against the current generation — the
     /// session-layer rendering prefixed with the catalog version the plan
     /// was cached under. Uses (and warms) the plan cache; does not
     /// consume an admission slot.
     pub fn explain(&self, plan: &LogicalPlan) -> Result<String, QueryError> {
-        let (ctx, version, tree_fp) = self.read_snapshot();
-        let (cached, _) = self.prepare_cached(&ctx, version, tree_fp, plan)?;
+        let generation = self.generation();
+        let (cached, _) = self.prepare_cached(&generation, plan)?;
+        let ctx = &generation.ctx;
         let prepared = PreparedQuery::from_parts(
             ctx.catalog(),
             ctx.options(),
@@ -453,117 +463,81 @@ impl QueryService {
             cached.physical.clone(),
             cached.schema.clone(),
         );
+        let version = generation.version;
         Ok(format!("catalog v{version}\n{}", prepared.explain()))
     }
 
-    fn read_snapshot(&self) -> (Arc<QueryContext>, u64, u64) {
-        let s = match self.snapshot.read() {
-            Ok(s) => s,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        (Arc::clone(&s.ctx), s.version, s.tree_fp)
+    fn generation(&self) -> Arc<Generation> {
+        Arc::clone(
+            &self
+                .generation
+                .read()
+                .unwrap_or_else(PoisonError::into_inner),
+        )
     }
 
-    fn update_snapshot(
+    /// Copy-on-write the current session state through `mutate` and
+    /// publish it as the next generation. A failed mutation publishes
+    /// nothing.
+    fn publish(
         &self,
         mutate: impl FnOnce(&mut QueryContext) -> Result<(), QueryError>,
     ) -> Result<u64, QueryError> {
-        let version = {
-            let mut s = match self.snapshot.write() {
-                Ok(s) => s,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            let mut ctx = (*s.ctx).clone();
-            mutate(&mut ctx)?;
-            // The mutation may have re-weighted the topology in place
-            // (degrade_link): refresh the fingerprint with the version.
-            s.tree_fp = ctx.tree().fingerprint();
-            s.ctx = Arc::new(ctx);
-            s.version += 1;
-            s.version
-        };
-        let mut cache = lock_ok(&self.cache);
-        cache.entries.clear();
-        cache.invalidations += 1;
+        let mut current = self
+            .generation
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        let mut ctx = (*current.ctx).clone();
+        mutate(&mut ctx)?;
+        let version = current.version + 1;
+        *current = Arc::new(Generation::new(ctx, version));
+        self.invalidations.fetch_add(1, Ordering::Relaxed);
         Ok(version)
     }
 
-    /// Cache key: topology fingerprint ⊕ catalog version ⊕ session
-    /// options ⊕ the canonical (structural) hash of the logical plan.
-    fn fingerprint(tree_fp: u64, plan: &LogicalPlan, version: u64, options: &ExecOptions) -> u64 {
-        let mut h = DefaultHasher::new();
-        tree_fp.hash(&mut h);
-        version.hash(&mut h);
-        options.hash(&mut h);
-        plan.hash(&mut h);
-        h.finish()
-    }
-
-    /// Look the plan up in the cache, lowering (and inserting) on a miss.
-    /// Returns the shared prepared plan and whether it was a hit.
+    /// Look the plan up in the generation's cache, lowering (and
+    /// inserting) on a miss. Returns the shared prepared plan and whether
+    /// it was a hit.
     fn prepare_cached(
         &self,
-        ctx: &QueryContext,
-        version: u64,
-        tree_fp: u64,
+        generation: &Generation,
         plan: &LogicalPlan,
     ) -> Result<(Arc<CachedPlan>, bool), QueryError> {
-        let options = ctx.options();
-        let key = QueryService::fingerprint(tree_fp, plan, version, &options);
         {
-            let mut cache = lock_ok(&self.cache);
-            // 64-bit keys can collide; the stored plan + options +
-            // catalog version are the ground truth.
+            let mut cache = lock_ok(&generation.plans);
             let tick = cache.next_tick();
-            let hit = cache.entries.get_mut(&key).and_then(|slot| {
-                (slot.logical == *plan && slot.options == options && slot.version == version).then(
-                    || {
-                        slot.last_used = tick;
-                        Arc::clone(&slot.plan)
-                    },
-                )
-            });
-            if let Some(hit) = hit {
-                cache.hits += 1;
-                return Ok((hit, true));
+            if let Some(slot) = cache.entries.get_mut(plan) {
+                slot.last_used = tick;
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok((Arc::clone(&slot.plan), true));
             }
-            cache.misses += 1;
         }
+        self.misses.fetch_add(1, Ordering::Relaxed);
         // Lower outside the cache lock: planning can be slow, and
         // concurrent first-time queries should not serialize on it.
-        let (physical, schema) = lower_full(plan, ctx.catalog(), options, ctx.strategies())?;
+        let ctx = &generation.ctx;
+        let (physical, schema) = lower_full(plan, ctx.catalog(), ctx.options(), ctx.strategies())?;
         let cached = Arc::new(CachedPlan { physical, schema });
-        let mut cache = lock_ok(&self.cache);
-        // Skip the insert if a register() raced past while we lowered:
-        // the plan is still correct for *this* query (it runs on the
-        // snapshot it was lowered from), but caching it would strand an
-        // unreachable stale-generation entry until the next eviction.
-        if self.read_snapshot().1 == version {
-            if cache.entries.len() >= PLAN_CACHE_CAPACITY && !cache.entries.contains_key(&key) {
-                // Evict the least-recently-used slot.
-                if let Some(&lru) = cache
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, slot)| slot.last_used)
-                    .map(|(k, _)| k)
-                {
-                    cache.entries.remove(&lru);
-                }
+        // The plan goes into the generation it was lowered against: if a
+        // newer one was published meanwhile, this cache is dropped with
+        // its generation.
+        let mut cache = lock_ok(&generation.plans);
+        if cache.entries.len() >= PLAN_CACHE_CAPACITY && !cache.entries.contains_key(plan) {
+            // Evict the least-recently-used slot (ticks are unique).
+            if let Some(lru) = cache.entries.values().map(|slot| slot.last_used).min() {
+                cache.entries.retain(|_, slot| slot.last_used != lru);
             }
-            // A racing miss may have inserted first (or a collision may
-            // live here): last writer wins, both plans are correct.
-            let tick = cache.next_tick();
-            cache.entries.insert(
-                key,
-                CacheSlot {
-                    logical: plan.clone(),
-                    options,
-                    version,
-                    last_used: tick,
-                    plan: Arc::clone(&cached),
-                },
-            );
         }
+        // A racing miss may have inserted first: last writer wins, both
+        // plans are correct.
+        let last_used = cache.next_tick();
+        cache.entries.insert(
+            plan.clone(),
+            CacheSlot {
+                last_used,
+                plan: Arc::clone(&cached),
+            },
+        );
         Ok((cached, false))
     }
 }
@@ -785,8 +759,8 @@ mod tests {
         // big rack's core uplink 16x and the repartition pays
         // per-(node, group) partials across the now-thin link while the
         // combining convergecast ships one partial set per level — the
-        // winner must flip, which requires the degrade to move the
-        // topology fingerprint and so invalidate the cached plan.
+        // winner must flip, which requires the degrade to publish a new
+        // generation whose plan cache starts empty.
         let tree = builders::rack_tree(&[(4, 4.0, 8.0), (2, 4.0, 8.0)], 16.0);
         let mut ctx = QueryContext::new(tree.clone()).with_seed(7);
         let rows: Vec<Vec<u64>> = (0..600).map(|i| vec![i, i % 4, (i * 31) % 997]).collect();
@@ -822,7 +796,7 @@ mod tests {
         // Re-pricing changes the exchange schedule, never the answer.
         assert_eq!(healthy.result.rows(false), repriced.result.rows(false));
 
-        // Bad degrades stay typed and leave the snapshot untouched.
+        // Bad degrades stay typed and publish no new generation.
         let fp_err = service.degrade_link(EdgeId(99), 2.0).unwrap_err();
         assert!(
             matches!(fp_err, QueryError::InvalidFaultTarget(_)),

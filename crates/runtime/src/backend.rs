@@ -89,10 +89,6 @@ impl From<RuntimeError> for ExecError {
 /// The result of executing a job on some backend.
 #[derive(Clone, Debug)]
 pub struct ExecOutcome {
-    /// Job name (for reports).
-    pub job: String,
-    /// Backend name (for reports).
-    pub backend: String,
     /// Metered cost, on the shared union-of-paths ledger.
     pub cost: Cost,
     /// Metered communication rounds (`cost.per_round.len()`).
@@ -221,8 +217,6 @@ impl ExecBackend for SimulatorBackend {
         view.run(&mut session)?;
         let (cost, final_state, rounds) = session.into_parts();
         Ok(ExecOutcome {
-            job: job.name(),
-            backend: self.name(),
             rounds,
             supersteps: rounds,
             resumed_from: None,
@@ -340,16 +334,6 @@ impl PooledClusterBackend {
             Crew::Scoped => None,
         }
     }
-
-    /// The attached fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.injector.as_ref()
-    }
-
-    /// The attached checkpoint store, if any.
-    pub fn checkpoint_store(&self) -> Option<&Arc<CheckpointStore>> {
-        self.checkpoints.as_ref().map(|(store, _)| store)
-    }
 }
 
 impl ExecBackend for PooledClusterBackend {
@@ -377,15 +361,15 @@ impl ExecBackend for PooledClusterBackend {
         // affects the *next* run, never this one.
         let crew = self.pool().map(|p| p.snapshot());
         // Checkpointing needs both the backend's store and the job's
-        // opt-in token — resumability is a property of the job.
-        let checkpoint = match (&self.checkpoints, job.checkpoint_token()) {
-            (Some((store, spec)), Some(token)) => Some(CheckpointHook {
+        // opt-in token — resumability is a property of the job. The token
+        // is only asked for when a store is attached.
+        let checkpoint = self.checkpoints.as_ref().and_then(|(store, spec)| {
+            job.checkpoint_token().map(|token| CheckpointHook {
                 store,
                 spec: *spec,
                 token,
-            }),
-            _ => None,
-        };
+            })
+        });
         // A job that declares its superstep count gets room for it: the
         // runaway cap protects against non-halting programs, not against
         // legitimately long declared-finite replays. +1 covers the
@@ -406,8 +390,6 @@ impl ExecBackend for PooledClusterBackend {
             },
         )?;
         Ok(ExecOutcome {
-            job: job.name(),
-            backend: self.name(),
             rounds: run.cost.per_round.len(),
             supersteps: run.supersteps,
             resumed_from: run.resumed_from,

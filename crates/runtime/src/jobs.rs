@@ -54,14 +54,14 @@ pub struct Schedule {
     pub rounds: Vec<Vec<ScheduleSend>>,
 }
 
-/// Flat CSR index over a schedule: for `(node, round)`, the indices of
+/// Flat CSR index over a schedule: for `(round, node)`, the indices of
 /// the sends originating at `node` in that round — two flat arrays and a
 /// single counting-sort pass, so each distributed replay program touches
 /// only its own sends instead of scanning whole rounds every superstep.
 #[derive(Debug)]
 struct SrcIndex {
-    n_rounds: usize,
-    /// `offsets[node * n_rounds + round] .. offsets[.. + 1]` bounds the
+    num_nodes: usize,
+    /// `offsets[round * num_nodes + node] .. offsets[.. + 1]` bounds the
     /// cell's slice in `items`.
     offsets: Vec<u32>,
     /// Send indices into `schedule.rounds[round]`, grouped by cell.
@@ -70,12 +70,11 @@ struct SrcIndex {
 
 impl SrcIndex {
     fn build(num_nodes: usize, schedule: &Schedule) -> Self {
-        let n_rounds = schedule.rounds.len();
-        let cells = num_nodes * n_rounds;
+        let cells = num_nodes * schedule.rounds.len();
         let mut offsets = vec![0u32; cells + 1];
         for (r, round) in schedule.rounds.iter().enumerate() {
             for send in round {
-                offsets[send.src.index() * n_rounds + r + 1] += 1;
+                offsets[r * num_nodes + send.src.index() + 1] += 1;
             }
         }
         for i in 1..offsets.len() {
@@ -85,13 +84,13 @@ impl SrcIndex {
         let mut cursor = offsets.clone();
         for (r, round) in schedule.rounds.iter().enumerate() {
             for (i, send) in round.iter().enumerate() {
-                let cell = send.src.index() * n_rounds + r;
+                let cell = r * num_nodes + send.src.index();
                 items[cursor[cell] as usize] = i as u32;
                 cursor[cell] += 1;
             }
         }
         SrcIndex {
-            n_rounds,
+            num_nodes,
             offsets,
             items,
         }
@@ -100,7 +99,7 @@ impl SrcIndex {
     /// The sends of `node` in `round` (indices into the round's send
     /// list, in issue order).
     fn sends_of(&self, node: NodeId, round: usize) -> &[u32] {
-        let cell = node.index() * self.n_rounds + round;
+        let cell = round * self.num_nodes + node.index();
         let (lo, hi) = (self.offsets[cell] as usize, self.offsets[cell + 1] as usize);
         &self.items[lo..hi]
     }
@@ -115,9 +114,6 @@ pub struct ScheduleJob {
     name: String,
     schedule: Arc<Schedule>,
     by_src: Arc<SrcIndex>,
-    /// Content hash of the schedule — the checkpoint token (see
-    /// [`ExecJob::checkpoint_token`]).
-    token: u64,
 }
 
 /// Hash a schedule's full content (round structure, sources,
@@ -149,12 +145,10 @@ impl ScheduleJob {
     /// `name`.
     pub fn new(name: impl Into<String>, num_nodes: usize, schedule: Schedule) -> Self {
         let by_src = SrcIndex::build(num_nodes, &schedule);
-        let token = schedule_token(num_nodes, &schedule);
         ScheduleJob {
             name: name.into(),
             schedule: Arc::new(schedule),
             by_src: Arc::new(by_src),
-            token,
         }
     }
 
@@ -183,9 +177,10 @@ impl ExecJob for ScheduleJob {
 
     /// Schedule replay is stateless per round (the replaying node
     /// program reads only `ctx.round`), so it is resumable: the token is
-    /// the schedule's content hash.
+    /// the schedule's content hash, computed on demand (only a backend
+    /// with a checkpoint store asks for it).
     fn checkpoint_token(&self) -> Option<u64> {
-        Some(self.token)
+        Some(schedule_token(self.by_src.num_nodes, &self.schedule))
     }
 
     /// A replay halts after exactly one superstep per schedule round

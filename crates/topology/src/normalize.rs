@@ -202,8 +202,8 @@ mod tests {
     #[test]
     fn hoist_preserves_degraded_asymmetric_bandwidths() {
         // Degrade the a-m uplink of an internal-compute chain, then hoist:
-        // the surviving real edge must carry the degraded weights, and the
-        // fingerprint must have moved from the healthy tree's.
+        // the surviving real edge must carry the degraded weights, which
+        // must have moved from the healthy tree's.
         let build = || {
             let mut b = TreeBuilder::new();
             let a = b.compute();
@@ -217,7 +217,15 @@ mod tests {
         let (mut t, _, _) = build();
         let e = t.dir_edge_between(a, m).unwrap().edge();
         t.scale_bandwidth(e, 3.0).unwrap();
-        assert_ne!(t.fingerprint(), healthy.fingerprint());
+        let (d, back) = (
+            t.dir_edge_between(a, m).unwrap(),
+            t.dir_edge_between(m, a).unwrap(),
+        );
+        assert_eq!((t.bandwidth(d).get(), t.bandwidth(back).get()), (2.0, 1.0));
+        assert_eq!(
+            (healthy.bandwidth(d).get(), healthy.bandwidth(back).get()),
+            (6.0, 3.0)
+        );
 
         let norm = hoist_compute_leaves(&t);
         assert!(norm.tree.compute_nodes_are_leaves());

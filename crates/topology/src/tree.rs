@@ -379,9 +379,10 @@ impl Tree {
     ///
     /// Only the stored bandwidths change: the structural caches (DFS
     /// order, depths, parents, subtree intervals) are bandwidth-independent,
-    /// so every routing query stays valid. Costs, plan prices, and
-    /// [`fingerprint`](Self::fingerprint) all observe the new weights
-    /// immediately.
+    /// so every routing query stays valid. Costs and plan prices observe
+    /// the new weights immediately; a serving layer that caches priced
+    /// plans must re-price against the mutated tree (the query service
+    /// mutates a copy and publishes it with an empty plan cache).
     pub fn scale_bandwidth(&mut self, e: EdgeId, factor: f64) -> Result<(), TopologyError> {
         if e.index() >= self.edges.len() {
             return Err(TopologyError::UnknownEdge(e.index()));
@@ -396,31 +397,6 @@ impl Tree {
         ed.w_uv = w_uv;
         ed.w_vu = w_vu;
         Ok(())
-    }
-
-    /// Canonical content fingerprint of the topology: node kinds, edge
-    /// endpoints, and the exact bits of every directed bandwidth.
-    ///
-    /// Two trees hash equal iff they are the same labeled topology with
-    /// identical weights, so any in-place mutation (notably
-    /// [`scale_bandwidth`](Self::scale_bandwidth)) changes the value.
-    /// Plan caches key on this to invalidate priced plans when the
-    /// network degrades.
-    pub fn fingerprint(&self) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
-        self.num_nodes().hash(&mut h);
-        for kind in &self.kinds {
-            kind.is_compute().hash(&mut h);
-        }
-        for ed in &self.edges {
-            ed.u.index().hash(&mut h);
-            ed.v.index().hash(&mut h);
-            ed.w_uv.get().to_bits().hash(&mut h);
-            ed.w_vu.get().to_bits().hash(&mut h);
-        }
-        h.finish()
     }
 
     /// The directed edge from `a` to `b`, which must be adjacent.
@@ -627,22 +603,29 @@ mod tests {
     }
 
     #[test]
-    fn scale_bandwidth_reweights_and_moves_the_fingerprint() {
+    fn scale_bandwidth_reweights_the_edge_and_restores_it() {
         let mut t = tiny_tree();
-        let fp0 = t.fingerprint();
-        assert_eq!(fp0, tiny_tree().fingerprint(), "fingerprint is canonical");
+        // Both directed bandwidths of every edge, in edge order.
+        let weights =
+            |t: &Tree| -> Vec<f64> { t.dir_edges().map(|d| t.bandwidth(d).get()).collect() };
+        let w0 = weights(&t);
+        assert_eq!(w0, [1.0, 1.0, 2.0, 2.0, 4.0, 4.0, 8.0, 8.0]);
 
         let e = EdgeId(2); // the r2 - r3 trunk, weight 4.0
         t.scale_bandwidth(e, 4.0).unwrap();
         assert_eq!(t.sym_bandwidth(e).get(), 1.0);
-        assert_ne!(t.fingerprint(), fp0, "degradation must invalidate caches");
+        assert_eq!(
+            weights(&t),
+            [1.0, 1.0, 2.0, 2.0, 1.0, 1.0, 8.0, 8.0],
+            "only the trunk is re-weighted"
+        );
         // Structural caches are untouched by re-weighting.
         assert!(t.compute_nodes_are_leaves());
         assert_eq!(t.num_edges(), 4);
 
-        // Restoring the link restores the exact fingerprint.
+        // Restoring the link restores the exact weights.
         t.scale_bandwidth(e, 0.25).unwrap();
-        assert_eq!(t.fingerprint(), fp0);
+        assert_eq!(weights(&t), w0);
 
         assert_eq!(
             t.scale_bandwidth(EdgeId(99), 2.0),
@@ -656,7 +639,7 @@ mod tests {
             t.scale_bandwidth(e, f64::INFINITY),
             Err(TopologyError::InvalidBandwidth(f64::INFINITY))
         );
-        assert_eq!(t.fingerprint(), fp0, "failed mutations change nothing");
+        assert_eq!(weights(&t), w0, "failed mutations change nothing");
     }
 
     #[test]

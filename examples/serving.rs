@@ -6,8 +6,10 @@
 //! the "millions of users" shape instead: many client threads firing a
 //! mixed analytics workload at one service that
 //!
-//! 1. caches prepared plans under a canonical fingerprint of
-//!    `(logical plan, topology, catalog version, options)`,
+//! 1. publishes its catalog, topology and options as one generation
+//!    per catalog version, and caches prepared plans in that generation,
+//!    keyed by the logical plan (a re-register starts a new generation
+//!    with an empty cache),
 //! 2. bounds in-flight queries, granting waiters in arrival order, and
 //! 3. executes everything on one shared `ExecBackend` — here the pooled
 //!    BSP cluster with a persistent worker crew reused across every

@@ -4,13 +4,14 @@
 //! the plan cache's width-invariance across elastic resizes.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use tamp::query::orchestrator::{decide, Orchestrator, ScaleDecision, ScalingSpec};
 use tamp::query::prelude::*;
 use tamp::query::service::QueryService;
 use tamp::query::QueryError;
 use tamp::runtime::{ElasticPool, FaultPlan, PooledClusterBackend};
-use tamp::topology::builders;
+use tamp::topology::{builders, EdgeId};
 
 /// Serve while a chaos thread arms plans concurrently. Armed plans queue
 /// FIFO in the injector, so a burst of arms can exhaust one query's
@@ -247,4 +248,44 @@ fn plan_cache_is_width_invariant_across_elastic_resizes() {
         );
     }
     assert_eq!(service.cache_stats().invalidations, 0);
+}
+
+#[test]
+fn iterative_recovery_replays_on_the_generation_it_was_prepared_on() {
+    // A link degraded while a killed fixpoint waits out its backoff must
+    // not reach the replay: every attempt meters on the tree the job was
+    // prepared on, so the recovered ledger equals a healthy run round for
+    // round, not just in its per-edge totals.
+    let tree = builders::star(4, 1.0);
+    let computes = tree.compute_nodes().to_vec();
+    let n = 6u64;
+    let arcs = (0..n)
+        .flat_map(|u| [(u, (u + 1) % n), ((u + 1) % n, u)])
+        .collect();
+    let owners = (0..n).map(|u| computes[(u % 3) as usize]).collect();
+    let job = IterativeJob::bfs(arcs, owners, 0, IterativeSpec::frontier(10, 0.0));
+    let healthy = job.prepare(&tree).unwrap().run(&tree).unwrap();
+
+    let backoff = Backoff::Fixed(Duration::from_millis(400));
+    let orch = Orchestrator::builder(QueryContext::new(tree))
+        .tenant(TenantSpec::new("graphs", 1, 4).with_priority(Priority::Batch))
+        .retry(RetryPolicy::new(3).with_backoff(backoff))
+        .build()
+        .unwrap();
+    orch.inject_faults(FaultPlan::new().kill_worker(computes[0], 0))
+        .unwrap();
+    let served = std::thread::scope(|scope| {
+        let run = scope.spawn(|| orch.serve_iterative("graphs", &job));
+        // Degrade during the backoff: after the fault, before the replay.
+        while orch.recovery_events().is_empty() && !run.is_finished() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        orch.degrade_link(EdgeId(0), 16.0).unwrap();
+        run.join().unwrap()
+    })
+    .unwrap();
+
+    assert_eq!(orch.recovery_events().len(), 1, "the kill fired once");
+    assert_eq!(served.outcome.cost.edge_totals, healthy.cost.edge_totals);
+    assert_eq!(served.outcome.cost.per_round, healthy.cost.per_round);
 }
